@@ -5,8 +5,8 @@
 // The lazy ring engine fast-forwards agents over long arcs, so per-node
 // visit counters must accept "add 1 to every node in [l, r]" without an
 // O(r - l) loop. A Fenwick tree over the difference array gives O(log n)
-// range updates and O(log n) point reads, and builds from a dense value
-// vector in O(n) (used when the engine promotes from its dense prefix).
+// range updates and O(log n) point reads, and converts from and to a dense
+// value vector in O(n) (used when the engine switches step kernels).
 
 #include <cstdint>
 #include <vector>
@@ -22,10 +22,12 @@ class RangeAddFenwick {
   explicit RangeAddFenwick(std::size_t n) : n_(n), tree_(n + 1, 0) {}
 
   /// Builds in O(n) with at(i) == values[i] for all i.
-  explicit RangeAddFenwick(const std::vector<std::int64_t>& values)
+  template <typename Int>
+  explicit RangeAddFenwick(const std::vector<Int>& values)
       : n_(values.size()), tree_(values.size() + 1, 0) {
     for (std::size_t i = 1; i <= n_; ++i) {
-      tree_[i] += values[i - 1] - (i >= 2 ? values[i - 2] : 0);
+      tree_[i] += static_cast<std::int64_t>(values[i - 1]) -
+                  (i >= 2 ? static_cast<std::int64_t>(values[i - 2]) : 0);
       const std::size_t parent = i + lowbit(i);
       if (parent <= n_) tree_[parent] += tree_[i];
     }
@@ -38,6 +40,23 @@ class RangeAddFenwick {
     RR_ASSERT(l <= r && r < n_, "fenwick range out of bounds");
     point(l, d);
     if (r + 1 < n_) point(r + 1, -d);
+  }
+
+  /// Writes every value to `out` in O(n): undoes the build's parent
+  /// folding to recover the difference array, then prefix-sums it.
+  template <typename Int>
+  void values(std::vector<Int>& out) const {
+    std::vector<std::int64_t> diff(tree_);
+    for (std::size_t i = n_; i >= 1; --i) {
+      const std::size_t parent = i + lowbit(i);
+      if (parent <= n_) diff[parent] -= diff[i];
+    }
+    out.resize(n_);
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < n_; ++i) {
+      sum += diff[i + 1];
+      out[i] = static_cast<Int>(sum);
+    }
   }
 
   /// Current value at index i.

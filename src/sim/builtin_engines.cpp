@@ -147,13 +147,13 @@ void register_lazy(EngineRegistry& r) {
       .name = "lazy",
       .engine_name = "lazy-ring-rotor-router",
       .substrate = "ring only",
-      .summary = "O(k log k)/round domain-dynamics ring engine with "
-                 "ballistic fast-forward in run()",
+      .summary = "domain-dynamics ring engine: a dense kernel for crowded "
+                 "stretches, ballistic O(k log k) leaps for spread-out ones, "
+                 "switched by measured leap length",
       .substrate_kinds = {"ring"},
       .deterministic = true,
-      // In the dense phase the serialized promotion scalars keep doubling
-      // (rigid, never equal), so confirmation only engages after the
-      // engine promotes to its lazy O(k) representation — by design.
+      // One checkpoint layout for both kernels and no policy scalars in
+      // it, so confirmation engages whichever kernel is active.
       .cycle_accumulators = {"time", "visits"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
@@ -183,6 +183,7 @@ void register_walks(EngineRegistry& r) {
                  "--seed selects the stream)",
       .substrate_kinds = {},
       .supports_shards = false,
+      .cycle_accumulators = {},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
         const auto g = build_graph(d, error);
@@ -239,6 +240,7 @@ void register_ode(EngineRegistry& r) {
       .summary = "Sec. 2.3 continuous domain-size ODE (RK4, 1 round = "
                  "1.0 model time); convergence-gated, not bit-exact",
       .substrate_kinds = {"ring"},
+      .cycle_accumulators = {},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
         if (!c.pointers.empty()) {

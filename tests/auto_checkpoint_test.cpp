@@ -20,12 +20,13 @@
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
 #include "walk/random_walk.hpp"
+#include "temp_path.hpp"
 
 namespace rr::sim {
 namespace {
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  return rr::testing::unique_temp_path(name);
 }
 
 TEST(AutoCheckpoint, FiresOnTheExactRoundSchedule) {
@@ -258,7 +259,8 @@ TEST(AutoCheckpoint, SlashlessPathSyncsTheWorkingDirectory) {
   // skipped the directory fsync silently (find_last_of('/') == npos was
   // treated as "nothing to sync"). The save must succeed and not warn.
   detail::g_dir_fsync_warned = false;
-  const std::string name = "auto_ckpt_noslash_test_file.rrc";
+  const std::string name =
+      rr::testing::unique_temp_name("auto_ckpt_noslash.rrc");
   std::remove(name.c_str());
   ::testing::internal::CaptureStderr();
   EXPECT_TRUE(save_checkpoint_file_atomic(name, "cwd payload"));

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "graph/generators.hpp"
 #include "sim/runner.hpp"
 #include "walk/random_walk.hpp"
+#include "temp_path.hpp"
 
 namespace rr::sim {
 namespace {
@@ -147,9 +149,10 @@ TEST(Checkpoint, RoundTripsEveryBackendMidRun) {
 }
 
 TEST(Checkpoint, LazyCheckpointRestoresPromotedRepresentation) {
-  // A post-promotion checkpoint must come back in the O(k) representation
-  // (no dense prefix left), and a pre-promotion checkpoint must demote a
-  // lazily-constructed fresh instance back to the dense engine.
+  // A restore picks its kernel from the restored state like the
+  // constructor does: a compact pointer field comes back on the leap
+  // kernel, an adversarial one on the dense kernel, whatever kernel the
+  // restore target was built in.
   const auto agents = core::place_equally_spaced(256, 4);
   core::LazyRingRotorRouter promoted(256, agents);
   ASSERT_TRUE(promoted.lazy());  // compact field promotes at round 0
@@ -160,8 +163,8 @@ TEST(Checkpoint, LazyCheckpointRestoresPromotedRepresentation) {
   ASSERT_TRUE(lazy != nullptr);
   EXPECT_TRUE(lazy->lazy());
 
-  // Adversarial pointers keep the engine dense; its checkpoint carries
-  // phase=dense even though the fresh restore target starts promoted.
+  // Adversarial pointers keep the engine dense, even though the fresh
+  // restore target starts on the leap kernel.
   // A random field on n=256 has ~128 pointer arcs, above the promotion
   // threshold (max(64, 4k+16)), so the engine genuinely starts dense.
   Rng rng(5);
@@ -176,7 +179,96 @@ TEST(Checkpoint, LazyCheckpointRestoresPromotedRepresentation) {
   auto* lazy2 = dynamic_cast<core::LazyRingRotorRouter*>(restored2.get());
   ASSERT_TRUE(lazy2 != nullptr);
   EXPECT_FALSE(lazy2->lazy());
-  expect_lockstep(dense_phase, *restored2, 600);  // crosses promotion
+  expect_lockstep(dense_phase, *restored2, 600);  // crosses a promotion check
+}
+
+TEST(Checkpoint, LazyBytesIgnoreKernelHistoryAndChunking) {
+  // One layout for both kernels: the bytes at round t depend on neither
+  // which kernel ran when nor how run() was chunked. The reference is left
+  // to the switching policy; its twin is force-promoted at a random earlier
+  // round and then advanced in irregular chunks.
+  Rng rng(0xB17E5ULL);
+  int kernels_differ = 0;
+  for (int trial = 0; trial < 30; ++trial) {
+    const NodeId n = 64 + rng.bounded(448);
+    const std::uint32_t k = 1 + rng.bounded(32);
+    std::vector<NodeId> agents;
+    std::vector<std::uint8_t> ptrs;
+    if (trial % 3 == 0) {
+      const NodeId v0 = rng.bounded(n);
+      agents = core::place_all_on_one(k, v0);
+      ptrs = core::pointers_toward(n, v0);
+    } else if (trial % 3 == 1) {
+      agents = core::place_random(n, k, rng);
+      ptrs = core::pointers_random(n, rng);
+    } else {
+      agents = core::place_equally_spaced(n, k);
+    }
+    const std::uint64_t t = 1 + rng.bounded(20 * n);
+    // Every other trial forces within the last few rounds, before the
+    // policy could demote the twin again.
+    const std::uint32_t back = static_cast<std::uint32_t>(
+        trial % 2 == 0 ? std::min<std::uint64_t>(t, 8) : t);
+    const std::uint64_t force_at = t - 1 - rng.bounded(back);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << " n " << n
+                                      << " k " << k << " t " << t
+                                      << " forced at " << force_at);
+    core::LazyRingRotorRouter policy(n, agents, ptrs);
+    core::LazyRingRotorRouter forced(n, agents, ptrs);
+    policy.run(t);
+    forced.run(force_at);
+    ASSERT_TRUE(forced.try_promote(/*force=*/true));
+    for (std::uint64_t left = t - force_at; left > 0;) {
+      const std::uint64_t chunk =
+          1 + rng.bounded(static_cast<std::uint32_t>(std::min<std::uint64_t>(left, 3 * n)));
+      forced.run(chunk);
+      left -= chunk;
+    }
+    if (policy.lazy() != forced.lazy()) ++kernels_differ;
+    const std::string descriptor = "ring " + std::to_string(n);
+    for (const CkptFormat format : {CkptFormat::kV1, CkptFormat::kV2}) {
+      ASSERT_EQ(write_checkpoint(policy, descriptor, format),
+                write_checkpoint(forced, descriptor, format));
+    }
+  }
+  // The lane must compare bytes written from different kernels.
+  EXPECT_GT(kernels_differ, 0);
+}
+
+TEST(Checkpoint, LazyRestoresDensePhaseDocuments) {
+  // Written by the engine's earlier two-phase layout while it still ran on
+  // its dense RingRotorRouter prefix: n = 72, agents {0, 0, 5, 40},
+  // pointers alternating cw/acw from node 0, after 9 rounds. It must
+  // restore and step in lockstep with a ring engine replaying that run.
+  const std::string doc =
+      "rr-ckpt v1 engine=lazy-ring-rotor-router graph=ring 72\n"
+      "phase=dense\n"
+      "time=9\n"
+      "agents=1:1,4:1,43:1,69:1\n"
+      "pointers=wccwcccccwcwcwcwcwcwcwcwcwcwcwcwcwcwcwwwwwwwcwcwcwcwcwcwcwcwcwcwcwcwwccc\n"
+      "visits=5,4,2,2,3,3,2,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,2,3,2,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,2,2,3\n"
+      "exits=5,3,2,2,2,3,2,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,2,3,2,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,2,3\n"
+      "first_visit=0,1,4,5,1,0,3,4,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,4,3,0,1,8,9,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,-,8,7,2,1\n"
+      "last_visit=8,9,6,8,9,6,5,4,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,4,5,6,7,8,9,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,8,9,6,5\n"
+      "travel_dir=wcwwcwwcccccccccccccccccccccccccccccccwcccccccccccccccccccccccccccccwcww\n"
+      "last_arrival=1,1,1,1,1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,1,1,1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,1,1,1\n"
+      "last_single_prop=011011100000000000000000000000000000000111100000000000000000000000000111\n"
+      "next_promo=64\n"
+      "promo_interval=64\n"
+      "end\n";
+  auto restored = restore_checkpoint(doc);
+  ASSERT_TRUE(restored != nullptr);
+  ASSERT_TRUE(dynamic_cast<core::LazyRingRotorRouter*>(restored.get()) !=
+              nullptr);
+  std::vector<std::uint8_t> ptrs(72);
+  for (NodeId v = 0; v < 72; ++v) ptrs[v] = static_cast<std::uint8_t>(v % 2);
+  core::RingRotorRouter ring(72, {0, 0, 5, 40}, ptrs);
+  ring.run(9);
+  expect_lockstep(ring, *restored, 600);
+  // Saved again, it takes the current layout.
+  EXPECT_NE(write_checkpoint(*restored, "ring 72", CkptFormat::kV1)
+                .find("\nphase=lazy\n"),
+            std::string::npos);
 }
 
 TEST(Checkpoint, PreservesArcTraversalIdentity) {
@@ -419,12 +511,13 @@ TEST(Checkpoint, FileRoundTrip) {
   core::RingRotorRouter rr(20, {0, 10});
   rr.run(25);
   const std::string text = write_checkpoint(rr, "ring 20");
-  const std::string path = ::testing::TempDir() + "rr_ckpt_test.txt";
+  const std::string path = rr::testing::unique_temp_path("rr_ckpt_test.txt");
   ASSERT_TRUE(save_checkpoint_file(path, text));
   const auto back = read_text_file(path);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, text);
   EXPECT_FALSE(read_text_file(path + ".does-not-exist").has_value());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/wire.hpp"
 #include "walk/random_walk.hpp"
+#include "temp_path.hpp"
 
 namespace rr::sim {
 namespace {
@@ -213,7 +214,8 @@ TEST(CkptV2, SegmentsAndPoolChoicesEncodeIdentically) {
 // pointer-overridden target (constructed non-pristine) must all
 // reproduce the source state exactly, in both formats.
 TEST(CkptV2, RestoreIntoPristineAndEvolvedEnginesMatchesSource) {
-  const std::string path = ::testing::TempDir() + "ckpt_v2_pristine.rrg";
+  const std::string path =
+      rr::testing::unique_temp_path("ckpt_v2_pristine.rrg");
   ASSERT_TRUE(graph::MappedSubstrate::build("ring 4096", path));
   auto substrate = graph::MappedSubstrate::open(path);
   ASSERT_TRUE(substrate != nullptr);
@@ -453,7 +455,8 @@ TEST(CkptV2, StreamingFileParseMatchesInMemory) {
     core::RotorRouter engine(torus, {0, 17, 40});
     engine.run(123);
     const std::string text = write_checkpoint(engine, "torus 8 8", format);
-    const std::string path = ::testing::TempDir() + "rr_ckpt_v2_stream.ckpt";
+    const std::string path =
+        rr::testing::unique_temp_path("rr_ckpt_v2_stream.ckpt");
     ASSERT_TRUE(save_checkpoint_file(path, text));
 
     auto restored = restore_checkpoint_file(path);
@@ -507,7 +510,8 @@ TEST(CkptV2, PooledFileRestoreMatchesSequential) {
   engine.run(517);
   const std::string text =
       write_checkpoint(engine, "ring 4096", CkptFormat::kV2, 8);
-  const std::string path = ::testing::TempDir() + "rr_ckpt_v2_pooled.ckpt";
+  const std::string path =
+      rr::testing::unique_temp_path("rr_ckpt_v2_pooled.ckpt");
   ASSERT_TRUE(save_checkpoint_file(path, text));
   ThreadPool pool(3);
   auto seq = restore_checkpoint_file(path);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/eulerian_rotor_router.hpp"
+#include "core/initializers.hpp"
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
@@ -126,6 +127,34 @@ TEST(CycleJump, LeapLandingsMatchDenseAcrossTopologies) {
     EXPECT_GE(leap->stats().leaps, 1u) << b.name;
     EXPECT_GT(leap->stats().leaped_rounds, 1000000u / 2) << b.name;
   }
+}
+
+TEST(CycleJump, LazyRingConfirmsOnItsDenseKernel) {
+  // 32 agents on a 64-ring can never leap (the minimum gap stays under 3),
+  // so after its first switching window the lazy engine runs its dense
+  // kernel until a cycle leap restores it. Its checkpoint fields carry no
+  // switching state, so confirmation must engage there, and the landings
+  // must match a dense ring twin down to the visit counters.
+  const NodeId n = 64;
+  const auto agents = core::place_all_on_one(32, 5);
+  const auto ptrs = core::pointers_toward(n, 5);
+  auto inner = std::make_unique<core::LazyRingRotorRouter>(n, agents, ptrs);
+  const core::LazyRingRotorRouter* lazy = inner.get();
+  sim::CycleJumpEngine leap(std::move(inner), kTokenAccumulators,
+                            fast_detect());
+  core::RingRotorRouter dense(n, agents, ptrs);
+  leap.run(200);
+  dense.run(200);
+  ASSERT_FALSE(lazy->lazy());
+  ASSERT_EQ(leap.stats().leaps, 0u);
+  for (const std::uint64_t h : {9941u, 1000003u}) {
+    leap.run(h);
+    dense.run(h);
+    const Mismatch m = compare_engines(dense, leap);
+    ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
+  }
+  EXPECT_TRUE(leap.stats().confirmed);
+  EXPECT_GE(leap.stats().leaps, 1u);
 }
 
 TEST(CycleJump, AdversarialDelayPrefixThenLeapStaysExact) {

@@ -138,6 +138,64 @@ TEST(Differential, RunUntilCoveredLandsOnTheSameRound) {
   }
 }
 
+TEST(Differential, WorstCaseStartSwitchesKernelsAndStaysExact) {
+  // The paper's worst case (Thm 1): every agent on one node, every pointer
+  // toward it. Crowded agents push the lazy engine off its leap kernel and
+  // spread-out ones bring it back; neither switch may be observable. The
+  // cover phase runs through run_until_covered and the tail through run(),
+  // both in irregular chunks, with a deep compare of all three ring
+  // engines at every chunk boundary.
+  Rng rng(0x3C0DEULL);
+  int to_dense = 0;
+  int to_leap = 0;
+  for (const NodeId n : {64u, 257u}) {
+    for (const std::uint32_t k : {2u, 8u, 32u}) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " k " << k);
+      const NodeId v0 = rng.bounded(n);
+      const auto agents = core::place_all_on_one(k, v0);
+      const auto ptrs = core::pointers_toward(n, v0);
+      core::RingRotorRouter ring(n, agents, ptrs);
+      core::LazyRingRotorRouter lazy(n, agents, ptrs);
+      graph::Graph g = graph::ring(n);
+      core::RotorRouter rotor(g, agents,
+                              std::vector<std::uint32_t>(ptrs.begin(), ptrs.end()));
+      bool was_lazy = lazy.lazy();
+      const auto check = [&] {
+        if (lazy.lazy() != was_lazy) {
+          ++(lazy.lazy() ? to_leap : to_dense);
+          was_lazy = lazy.lazy();
+        }
+        Mismatch m = compare_engines(ring, lazy);
+        if (m.ok) m = compare_engines(ring, rotor);
+        return m;
+      };
+      std::uint64_t cover = sim::kNotCovered;
+      while (cover == sim::kNotCovered) {
+        ASSERT_LT(ring.time(), 64ULL * n * n) << "no cover";
+        const std::uint64_t cap = ring.time() + 1 + rng.bounded(2 * n);
+        cover = ring.run_until_covered(cap);
+        ASSERT_EQ(lazy.run_until_covered(cap), cover);
+        ASSERT_EQ(rotor.run_until_covered(cap), cover);
+        const Mismatch m = check();
+        ASSERT_TRUE(m.ok) << "cover phase, round " << m.round << ": "
+                          << m.detail;
+      }
+      for (std::uint64_t done = 0; done < 40ULL * n;) {
+        const std::uint64_t chunk =
+            rng.bounded(4) == 0 ? 1 : 1 + rng.bounded(3 * n);
+        ring.run(chunk);
+        lazy.run(chunk);
+        rotor.run(chunk);
+        done += chunk;
+        const Mismatch m = check();
+        ASSERT_TRUE(m.ok) << "tail, round " << m.round << ": " << m.detail;
+      }
+    }
+  }
+  EXPECT_GT(to_dense, 0) << "leap -> dense never happened";
+  EXPECT_GT(to_leap, 0) << "dense -> leap never happened";
+}
+
 // ---- save → load → continue (the checkpoint gate) ----
 
 TEST(Differential, CheckpointRestartRingBackends) {

@@ -152,5 +152,25 @@ TEST(Fenwick, BuildsFromValuesInLinearTime) {
   EXPECT_EQ(f.at(1001), values[1001]);
 }
 
+TEST(Fenwick, ValuesRecoverEveryPointAfterRangeAdds) {
+  Rng rng(7);
+  std::vector<std::int64_t> values(517);
+  for (auto& v : values) v = static_cast<std::int64_t>(rng.bounded(50));
+  RangeAddFenwick f(values);
+  for (int op = 0; op < 200; ++op) {
+    const std::uint32_t l = rng.bounded(517);
+    const std::uint32_t r = l + rng.bounded(517 - l);
+    const std::int64_t d = static_cast<std::int64_t>(rng.bounded(9));
+    f.add(l, r, d);
+    for (std::uint32_t i = l; i <= r; ++i) values[i] += d;
+  }
+  std::vector<std::uint64_t> out;
+  f.values(out);
+  ASSERT_EQ(out.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(out[i], static_cast<std::uint64_t>(values[i])) << "i " << i;
+  }
+}
+
 }  // namespace
 }  // namespace rr::core
