@@ -14,8 +14,11 @@
 //      scale 1) stepped through the mmap substrate, reporting rounds/s
 //      and the process peak RSS (VmHWM) against the image size — the
 //      run must not fault the whole image into memory.
+//   4. Resume latency on a 2048^2 torus (at scale 1): checkpoint file
+//      to an engine ready to step through the registry, cold (the
+//      substrate is built) and warm (a live engine already holds it).
 //
-// Engines here are built over rr-graph images rather than in-RAM
+// Lanes 1-3 build engines over rr-graph images rather than in-RAM
 // Graphs, so instance construction is O(agents) and the bench itself
 // stays out-of-core honest. Samples publish through
 // sim::BenchJsonWriter (RR_BENCH_JSON) for tools/bench_diff.py:
@@ -29,12 +32,16 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/table.hpp"
 #include "core/rotor_router.hpp"
+#include "graph/descriptor.hpp"
 #include "graph/mmap_substrate.hpp"
+#include "graph/substrate.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/registry.hpp"
 #include "sim/runner.hpp"
 
 namespace {
@@ -268,7 +275,7 @@ int main() {
       json.add_metric("CkptIO/ooc/peak_rss", "rss_bytes",
                       static_cast<double>(rss));
       std::printf("\npeak RSS %.2f GB vs %.2f GB image (acceptance: RSS"
-                  " well below a resident image) %s\n",
+                  " well below a resident image) %s\n\n",
                   static_cast<double>(rss) / (1u << 30), image_gb,
                   static_cast<double>(rss) < 0.5 * substrate->image_bytes()
                       ? "PASS"
@@ -277,68 +284,70 @@ int main() {
     std::remove(image.c_str());
   }
 
-  // --- 4. Frame-parallel v2 load on a shared pool. ---
+  // --- 4. Resume latency: checkpoint file -> engine ready to step. ---
   //
-  // v2 per-node frames are independently decodable (delta baselines
-  // restart per segment), so parse_checkpoint + deserialize_state can
-  // fan frame decode and per-segment state application across a
-  // ThreadPool. The result must be bit-identical to the sequential
-  // load; the speedup assertion only arms on multi-core hosts (a
-  // 1-core pool runs the same code inline).
+  // The registry path every resume takes (rr_cli --resume, served
+  // rehydration): parse the file, intern the substrate, restore. Cold
+  // means no live engine holds the torus substrate, so the resume builds
+  // it; warm means one live engine on the same descriptor does, so the
+  // resume shares its adjacency and pays only for its own state arrays
+  // plus decode.
   {
-    const std::uint64_t n = rr::sim::scaled_pow2(1ull << 22);
-    const std::string image = dir + "/bench_ckpt_io_parload.rrg";
-    std::string error;
-    RR_REQUIRE(MappedSubstrate::build("ring " + std::to_string(n), image,
-                                      &error),
-               "parallel-load image build failed");
-    auto substrate = MappedSubstrate::open(image);
-    RR_REQUIRE(substrate != nullptr, "parallel-load image failed validation");
-    RotorRouter engine(substrate, spread_agents(n, kAgents));
-    substrate->advise_random();
-    engine.run(rr::sim::scaled(1000));
-    const std::string text = rr::sim::write_checkpoint(
-        engine, substrate->descriptor(), CkptFormat::kV2);
-
-    rr::sim::ThreadPool pool;  // hardware width
-    double seq_s = 1e300, par_s = 1e300;
+    const auto side = static_cast<NodeId>(rr::sim::scaled(2048, 64));
+    const auto d = rr::graph::GraphDescriptor::torus(side, side);
+    const std::uint64_t n = std::uint64_t{side} * side;
+    const std::string path = dir + "/bench_ckpt_io_resume.ckpt";
+    rr::sim::EngineConfig config;
+    config.agents = spread_agents(n, static_cast<std::uint32_t>(n / 16));
+    std::uint64_t want_hash = 0;
+    {
+      auto live = rr::sim::EngineRegistry::instance().create("rotor", d, config);
+      RR_REQUIRE(live != nullptr, "resume lane engine failed to build");
+      live->run(32);
+      want_hash = live->config_hash();
+      RR_REQUIRE(rr::sim::save_checkpoint_file(
+                     path, rr::sim::write_checkpoint(*live, d.text(),
+                                                     CkptFormat::kV2)),
+                 "resume lane checkpoint write failed");
+    }
+    const auto resume_s = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto engine = rr::sim::restore_checkpoint_file(path);
+      const double dt = now_minus(t0);
+      RR_REQUIRE(engine != nullptr && engine->config_hash() == want_hash,
+                 "resume lane restore changed the configuration");
+      return dt;
+    };
+    const std::string tag = "CkptIO/resume/torus_" + std::to_string(side);
+    std::vector<double> cold, warm;
     for (int rep = 0; rep < kReps; ++rep) {
-      for (const bool parallel : {false, true}) {
-        rr::sim::ThreadPool* p = parallel ? &pool : nullptr;
-        auto resume = MappedSubstrate::open(image);
-        RR_REQUIRE(resume != nullptr, "parallel-load image re-open failed");
-        RotorRouter sink(resume, {0});
-        const auto t0 = std::chrono::steady_clock::now();
-        const auto parsed = rr::sim::parse_checkpoint(text, p);
-        const bool ok = parsed && sink.deserialize_state(parsed->state, p);
-        const double dt = now_minus(t0);
-        RR_REQUIRE(ok, "parallel load failed to round-trip");
-        RR_REQUIRE(sink.config_hash() == engine.config_hash(),
-                   "parallel load changed the configuration");
-        (parallel ? par_s : seq_s) =
-            std::min(parallel ? par_s : seq_s, dt);
+      RR_REQUIRE(!rr::graph::substrate_interned(d),
+                 "cold resume found a live substrate");
+      cold.push_back(resume_s());
+      json.add(tag + "/cold_resumes_per_s", 1.0 / cold.back());
+    }
+    {
+      auto live = rr::sim::EngineRegistry::instance().create("rotor", d, config);
+      RR_REQUIRE(live != nullptr, "resume lane engine failed to build");
+      for (int rep = 0; rep < kReps; ++rep) {
+        warm.push_back(resume_s());
+        json.add(tag + "/warm_resumes_per_s", 1.0 / warm.back());
       }
     }
-    Table t({"n", "threads", "seq load s", "pool load s", "speedup"});
-    const double speedup = seq_s / par_s;
-    t.add_row({Table::integer(n), Table::integer(pool.num_threads()),
-               Table::num(seq_s, 3), Table::num(par_s, 3),
-               Table::num(speedup, 2)});
+    std::sort(cold.begin(), cold.end());
+    std::sort(warm.begin(), warm.end());
+    const unsigned cores = std::thread::hardware_concurrency();
+    Table t({"torus", "nodes", "cores", "cold resume s", "warm resume s",
+             "cold/warm"});
+    t.add_row({std::to_string(side) + "^2", Table::integer(n),
+               Table::integer(cores), Table::num(cold[kReps / 2], 3),
+               Table::num(warm[kReps / 2], 3),
+               Table::num(cold[kReps / 2] / warm[kReps / 2], 2)});
     t.print();
-    json.add("CkptIO/v2/parallel_load_nodes_per_s",
-             static_cast<double>(n) / par_s);
-    json.add("CkptIO/v2/sequential_load_nodes_per_s",
-             static_cast<double>(n) / seq_s);
-    if (pool.num_threads() >= 2) {
-      std::printf("\npool load speedup at n=%llu: %.2fx (acceptance: >= 1.2x"
-                  " with >= 2 threads) %s\n",
-                  static_cast<unsigned long long>(n), speedup,
-                  speedup >= 1.2 ? "PASS" : "WARN");
-    } else {
-      std::printf("\npool load speedup: SKIP (1 thread — pool runs inline;"
-                  " bit-equality still asserted)\n");
-    }
-    std::remove(image.c_str());
+    std::printf("\n(median of %d resumes each, checkpoint file to an engine "
+                "ready to step)\n",
+                kReps);
+    std::remove(path.c_str());
   }
   return 0;
 }

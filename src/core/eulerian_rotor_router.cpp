@@ -1,21 +1,25 @@
 #include "core/eulerian_rotor_router.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "core/rotor_router.hpp"
+#include "graph/substrate.hpp"
 
 namespace rr::core {
 
 using graph::Arc;
 using graph::NodeId;
 
-EulerianRotorRouter::EulerianRotorRouter(const graph::Graph& g,
+EulerianRotorRouter::EulerianRotorRouter(graph::CsrGraph csr,
                                          const std::vector<NodeId>& agents)
-    : csr_(g) {
+    : csr_(std::move(csr)) {
   RR_REQUIRE(!agents.empty(), "need at least one token");
-  for (NodeId a : agents) RR_REQUIRE(a < g.num_nodes(), "agent out of range");
-  circuit_ = graph::eulerian_circuit(g, agents.front());
+  for (NodeId a : agents) {
+    RR_REQUIRE(a < csr_.num_nodes(), "agent out of range");
+  }
+  circuit_ = graph::eulerian_circuit(csr_, agents.front());
   RR_REQUIRE(index_circuit(), "Hierholzer circuit failed verification");
   // A node of degree d is the tail of d circuit offsets; co-located
   // agents take *successive* occurrences (cycling if there are more
@@ -42,6 +46,10 @@ EulerianRotorRouter::EulerianRotorRouter(const graph::Graph& g,
   }
   reset_visits_from_tokens();
 }
+
+EulerianRotorRouter::EulerianRotorRouter(const graph::Graph& g,
+                                         const std::vector<NodeId>& agents)
+    : EulerianRotorRouter(graph::connected_csr(g), agents) {}
 
 EulerianRotorRouter::EulerianRotorRouter(const graph::Graph& g,
                                          std::vector<Arc> circuit,

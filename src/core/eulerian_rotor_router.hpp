@@ -13,7 +13,7 @@
 //
 // Two ways to obtain one:
 //
-//   - EulerianRotorRouter(g, agents): constructs a Hierholzer circuit
+//   - EulerianRotorRouter(csr, agents): constructs a Hierholzer circuit
 //     (graph/eulerian.hpp) and places one token per agent at the first
 //     circuit position whose tail is the agent's start node. This is the
 //     registry/CLI path: an exact token-circulation dynamics on any
@@ -58,6 +58,10 @@ class EulerianRotorRouter final : public sim::Engine,
   /// successive circuit offsets tailed at that agent's start node (a
   /// degree-d node has d such offsets), so co-located agents take
   /// distinct trajectories — the analogue of distinct exit ports.
+  EulerianRotorRouter(graph::CsrGraph csr,
+                      const std::vector<graph::NodeId>& agents);
+
+  /// As above over a snapshot of `g`, which must be connected.
   EulerianRotorRouter(const graph::Graph& g,
                       const std::vector<graph::NodeId>& agents);
 

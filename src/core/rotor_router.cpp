@@ -1,22 +1,28 @@
 #include "core/rotor_router.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/rotor_state_io.hpp"
+#include "graph/substrate.hpp"
 
 namespace rr::core {
 
-RotorRouter::RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
+RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
                          std::vector<std::uint32_t> pointers)
-    : csr_(g),
+    : csr_(std::move(csr)),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
-      node_(g.num_nodes()),
-      stats_(g.num_nodes()) {
-  covered_ = init_rotor_nodes(g, csr_, agents, pointers, node_,
+      node_(csr_.num_nodes()),
+      stats_(csr_.num_nodes()) {
+  covered_ = init_rotor_nodes(csr_, agents, pointers, node_,
                               initial_pointers_, stats_,
                               [&](NodeId v) { occupied_.push_back(v); });
   pristine_ = pointers.empty();
 }
+
+RotorRouter::RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
+                         std::vector<std::uint32_t> pointers)
+    : RotorRouter(graph::connected_csr(g), agents, std::move(pointers)) {}
 
 RotorRouter::RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrate,
                          const std::vector<NodeId>& agents,
@@ -87,11 +93,6 @@ bool RotorRouter::apply_cycle_leap(
 }
 
 bool RotorRouter::deserialize_state(const sim::StateReader& in) {
-  return deserialize_state(in, /*pool=*/nullptr);
-}
-
-bool RotorRouter::deserialize_state(const sim::StateReader& in,
-                                    sim::ThreadPool* pool) {
   const bool assume_defaults = pristine_;
   pristine_ = false;
   if (assume_defaults) {
@@ -106,7 +107,7 @@ bool RotorRouter::deserialize_state(const sim::StateReader& in,
     }
   }
   const auto restored = deserialize_rotor_state(
-      in, csr_, node_, initial_pointers_, stats_, assume_defaults, pool);
+      in, csr_, node_, initial_pointers_, stats_, assume_defaults);
   if (!restored) return false;
   time_ = restored->time;
   num_agents_ = restored->num_agents;

@@ -10,9 +10,10 @@
 // deg v), then advances pi_v by c. Agents are indistinguishable, so the
 // engine stores per-node counts rather than identities.
 //
-// The engine snapshots the graph's port-ordered adjacency into a CsrGraph
-// at construction, so the stepping loops scan flat arrays instead of
-// chasing nested vectors; permute ports on the Graph before constructing.
+// The engine steps on a CsrGraph, so the stepping loops scan flat arrays
+// instead of chasing nested vectors. Registry-built engines share one
+// interned CSR per graph (graph/substrate.hpp); the Graph constructor
+// snapshots its own (permute ports on the Graph before constructing).
 // The per-node hot state lives in one packed graph::NodeState stride
 // (count, pointer, degree) and the visit bookkeeping in one VisitStats
 // stride — the round is memory-latency-bound on scattered nodes, so each
@@ -38,10 +39,6 @@
 #include "sim/engine.hpp"
 #include "sim/state_io.hpp"
 
-namespace rr::sim {
-class ThreadPool;
-}  // namespace rr::sim
-
 namespace rr::core {
 
 using graph::CsrGraph;
@@ -54,10 +51,15 @@ class RotorRouter final : public sim::Engine,
                           public sim::StateIO,
                           public sim::CycleLeapable {
  public:
-  /// `agents`: multiset of starting nodes (k = agents.size()).
-  /// `pointers`: initial pi_v per node; empty means all ports 0.
-  /// The graph's adjacency is snapshotted (CSR); later mutation of `g` does
-  /// not affect this engine.
+  /// `csr`: a connected graph's adjacency (e.g. graph::intern_substrate;
+  /// copies of a view share its arrays). `agents`: multiset of starting
+  /// nodes (k = agents.size()). `pointers`: initial pi_v per node; empty
+  /// means all ports 0.
+  RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
+              std::vector<std::uint32_t> pointers = {});
+
+  /// As above over a snapshot of `g`, which must be connected; later
+  /// mutation of `g` does not affect this engine.
   RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
               std::vector<std::uint32_t> pointers = {});
 
@@ -165,13 +167,6 @@ class RotorRouter final : public sim::Engine,
   void serialize_state(sim::StateWriter& out) const override;
   [[nodiscard]] bool deserialize_state(const sim::StateReader& in) override;
 
-  /// Pool-parallel restore: v2 documents deserialize their per-node
-  /// segments on `pool` when the segment layouts line up (see
-  /// deserialize_rotor_state's pool overload); bit-identical result to
-  /// the sequential form. nullptr pool == the virtual overload.
-  [[nodiscard]] bool deserialize_state(const sim::StateReader& in,
-                                       sim::ThreadPool* pool);
-
   /// Confirmed-cycle fast leap (sim::CycleLeapable): time and the stats
   /// counters advance by per-cycle deltas, node state untouched.
   [[nodiscard]] bool apply_cycle_leap(
@@ -195,8 +190,8 @@ class RotorRouter final : public sim::Engine,
   /// substrate image dirties only the pages that differ from the image.
   bool pristine_ = false;
 
-  // Owned vectors for Graph construction, views into the image mapping
-  // for substrate construction — same indexing either way.
+  // Owned vectors for in-RAM construction, views into the image mapping
+  // for image construction — same indexing either way.
   graph::MappedArray<graph::NodeState> node_;  // packed per-node hot state
   std::vector<std::uint32_t> initial_pointers_;
   std::vector<NodeId> occupied_;  // nodes with node_[v].count > 0 (unique)

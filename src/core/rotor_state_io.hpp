@@ -26,11 +26,9 @@
 #include "common/require.hpp"
 #include "core/shard_step.hpp"
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "graph/partition.hpp"
 #include "sim/cycle_jump.hpp"
 #include "sim/state_io.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace rr::core {
 
@@ -125,20 +123,18 @@ inline graph::NodeId place_rotor_agents(
   return covered;
 }
 
-/// Constructor-time initialization from a Graph: validates connectivity,
-/// caches degree/row offsets into the NodeState block, then places the
-/// agents via place_rotor_agents. Returns the initially covered count.
+/// Constructor-time initialization over an in-RAM CSR: caches
+/// degree/row offsets into the NodeState block, then places the agents
+/// via place_rotor_agents. Returns the initially covered count.
 template <typename NodeArray, typename StatsArray, typename OnFirstOccupy>
-inline graph::NodeId init_rotor_nodes(const graph::Graph& g,
-                                      const graph::CsrGraph& csr,
+inline graph::NodeId init_rotor_nodes(const graph::CsrGraph& csr,
                                       const std::vector<graph::NodeId>& agents,
                                       const std::vector<std::uint32_t>& pointers,
                                       NodeArray& node,
                                       std::vector<std::uint32_t>& initial_pointers,
                                       StatsArray& stats,
                                       OnFirstOccupy&& on_first_occupy) {
-  RR_REQUIRE(g.is_connected(), "rotor-router requires a connected graph");
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+  for (graph::NodeId v = 0; v < csr.num_nodes(); ++v) {
     node[v].degree = csr.degree_unchecked(v);
     node[v].row_begin = csr.row_offset(v);
   }
@@ -213,23 +209,22 @@ inline constexpr const char* kRotorFieldKeys[kRotorFields] = {
 inline constexpr std::uint64_t kRotorFieldDefaults[kRotorFields] = {
     0, 0, 0, 0, sim::kNotCovered, 0};
 
-/// Applies the six lockstep cursors over node range [v0, v1): validates
-/// degrees, writes node/stats/initial_pointers, counts covered nodes.
-/// The cursors must produce exactly v1 - v0 elements each (checked via
+/// Applies the six lockstep cursors over every node: validates degrees,
+/// writes node/stats/initial_pointers, counts covered nodes. The cursors
+/// must produce exactly one element per node each (checked via
 /// finished()). `allow_skip` gates the assume-defaults constant-run
-/// elision. nullopt on any malformed or inconsistent stream; the range
+/// elision. nullopt on any malformed or inconsistent stream; the state
 /// may then be partially written (the StateIO failed-restore contract).
-/// Ranges are disjoint, so the parallel restore runs one call per
-/// segment window from pool threads.
 template <typename NodeArray, typename StatsArray>
-inline std::optional<graph::NodeId> apply_rotor_span(
+inline std::optional<graph::NodeId> apply_rotor_fields(
     std::optional<sim::U64ListCursor>* cursors, const graph::CsrGraph& csr,
     NodeArray& node, std::vector<std::uint32_t>& initial_pointers,
-    StatsArray& stats, graph::NodeId v0, graph::NodeId v1, bool allow_skip) {
+    StatsArray& stats, bool allow_skip) {
+  const graph::NodeId n = csr.num_nodes();
   graph::NodeId covered = 0;
   sim::U64ListCursor::Run run[kRotorFields];
-  for (graph::NodeId v = v0; v < v1;) {
-    std::uint64_t span = v1 - v;
+  for (graph::NodeId v = 0; v < n;) {
+    std::uint64_t span = n - v;
     for (std::size_t k = 0; k < kRotorFields; ++k) {
       if (run[k].len == 0) {
         const auto r = cursors[k]->next_run();
@@ -329,93 +324,11 @@ inline std::optional<RestoredRotorState> deserialize_rotor_state(
     cursors[k] = in.u64_list_cursor(detail::kRotorFieldKeys[k], n);
     if (!cursors[k]) return std::nullopt;
   }
-  const auto covered = detail::apply_rotor_span(
-      cursors, csr, node, initial_pointers, stats, 0, n,
+  const auto covered = detail::apply_rotor_fields(
+      cursors, csr, node, initial_pointers, stats,
       /*allow_skip=*/assume_defaults && n > 1);
   if (!covered) return std::nullopt;
   restored.covered = *covered;
-
-  restored.sites.reserve(sites->size());
-  for (const auto& [v, c] : *sites) {
-    node[v].count = static_cast<std::uint32_t>(c);
-    restored.sites.push_back(static_cast<graph::NodeId>(v));
-  }
-  return restored;
-}
-
-/// Pool-parallel variant. A v2 checkpoint splits each per-node field
-/// into independently decodable segments (delta baselines restart at
-/// each boundary); when all six fields share the same segment layout —
-/// always true for documents the v2 encoder wrote — the node range
-/// splits at those boundaries and each window deserializes on a pool
-/// thread (disjoint node ranges, disjoint writes). Falls back to the
-/// sequential walk for v1 text documents, mismatched layouts, or a
-/// single segment. Identical results either way (restore is a pure
-/// function of the document); only wall-clock differs — this is what
-/// keeps session rehydration under server load from serializing on one
-/// core.
-template <typename NodeArray, typename StatsArray>
-inline std::optional<RestoredRotorState> deserialize_rotor_state(
-    const sim::StateReader& in, const graph::CsrGraph& csr, NodeArray& node,
-    std::vector<std::uint32_t>& initial_pointers, StatsArray& stats,
-    bool assume_defaults, sim::ThreadPool* pool) {
-  const graph::NodeId n = csr.num_nodes();
-  std::optional<std::vector<std::uint64_t>> bounds;
-  if (pool != nullptr && pool->num_threads() > 1 && n > 0) {
-    bounds = in.u64_list_segment_bounds(detail::kRotorFieldKeys[0], n);
-    for (std::size_t k = 1; bounds && k < detail::kRotorFields; ++k) {
-      const auto other =
-          in.u64_list_segment_bounds(detail::kRotorFieldKeys[k], n);
-      if (!other || *other != *bounds) bounds = std::nullopt;
-    }
-    if (bounds && bounds->size() <= 2) bounds = std::nullopt;
-  }
-  if (!bounds) {
-    return deserialize_rotor_state(in, csr, node, initial_pointers, stats,
-                                   assume_defaults);
-  }
-
-  const auto time = in.u64("time");
-  const auto sites = in.pairs("agents");
-  if (!time || !sites || sites->empty()) return std::nullopt;
-  std::uint64_t total_agents = 0;
-  for (const auto& [v, c] : *sites) {
-    if (v >= n || c == 0 || c > ~std::uint32_t{0}) return std::nullopt;
-    total_agents += c;
-  }
-  if (total_agents > ~std::uint32_t{0}) return std::nullopt;
-
-  RestoredRotorState restored;
-  restored.time = *time;
-  restored.num_agents = static_cast<std::uint32_t>(total_agents);
-  initial_pointers.resize(n);
-  const std::size_t windows = bounds->size() - 1;
-  std::vector<graph::NodeId> covered(windows, 0);
-  std::vector<std::uint8_t> ok(windows, 0);
-  const bool allow_skip = assume_defaults && n > 1;
-  pool->for_each(
-      windows,
-      [&](std::uint64_t w) {
-        std::optional<sim::U64ListCursor> cursors[detail::kRotorFields];
-        for (std::size_t k = 0; k < detail::kRotorFields; ++k) {
-          cursors[k] = in.u64_list_cursor_window(detail::kRotorFieldKeys[k],
-                                                 static_cast<std::size_t>(w),
-                                                 static_cast<std::size_t>(w) + 1);
-          if (!cursors[k]) return;
-        }
-        const auto c = detail::apply_rotor_span(
-            cursors, csr, node, initial_pointers, stats,
-            static_cast<graph::NodeId>((*bounds)[w]),
-            static_cast<graph::NodeId>((*bounds)[w + 1]), allow_skip);
-        if (!c) return;
-        covered[w] = *c;
-        ok[w] = 1;
-      },
-      /*chunk=*/1);
-  for (std::size_t w = 0; w < windows; ++w) {
-    if (!ok[w]) return std::nullopt;
-    restored.covered += covered[w];
-  }
 
   restored.sites.reserve(sites->size());
   for (const auto& [v, c] : *sites) {

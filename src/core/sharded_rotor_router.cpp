@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "core/rotor_state_io.hpp"
+#include "graph/substrate.hpp"
 
 namespace rr::core {
 
@@ -21,23 +23,23 @@ std::uint32_t default_shards(std::uint32_t shards, const sim::ThreadPool* pool) 
 
 }  // namespace
 
-ShardedRotorRouter::ShardedRotorRouter(const graph::Graph& g,
+ShardedRotorRouter::ShardedRotorRouter(graph::CsrGraph csr,
                                        const std::vector<NodeId>& agents,
                                        std::vector<std::uint32_t> pointers,
                                        std::uint32_t shards,
                                        sim::ThreadPool* pool)
-    : csr_(g),
+    : csr_(std::move(csr)),
       part_(csr_, default_shards(shards, pool)),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
-      node_(g.num_nodes()),
-      stats_(g.num_nodes()),
+      node_(csr_.num_nodes()),
+      stats_(csr_.num_nodes()),
       shards_(part_.num_shards()) {
   for (std::uint32_t s = 0; s < part_.num_shards(); ++s) {
     shards_[s].spill.assign(part_.frontier(s).size(), 0);
     shards_[s].spill_touched.resize(part_.num_shards());
   }
   covered_ = init_rotor_nodes(
-      g, csr_, agents, pointers, node_, initial_pointers_, stats_,
+      csr_, agents, pointers, node_, initial_pointers_, stats_,
       [&](NodeId v) { shards_[part_.owner(v)].occupied.push_back(v); });
   if (part_.num_shards() > 1 && !pool) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -47,6 +49,14 @@ ShardedRotorRouter::ShardedRotorRouter(const graph::Graph& g,
   }
   pool_ = pool;
 }
+
+ShardedRotorRouter::ShardedRotorRouter(const graph::Graph& g,
+                                       const std::vector<NodeId>& agents,
+                                       std::vector<std::uint32_t> pointers,
+                                       std::uint32_t shards,
+                                       sim::ThreadPool* pool)
+    : ShardedRotorRouter(graph::connected_csr(g), agents, std::move(pointers),
+                         shards, pool) {}
 
 void ShardedRotorRouter::commit_arrival(Shard& sh, NodeId u, std::uint32_t a) {
   NodeState& nu = node_[u];

@@ -63,6 +63,15 @@ class ShardedRotorRouter final : public sim::Engine,
   /// one set of threads; stepping from inside a pool job then runs the
   /// shards inline (ThreadPool nesting rule). With pool == nullptr the
   /// engine owns a pool sized to min(shards, hardware).
+  /// `csr` is a connected graph's adjacency (e.g. the interned substrate
+  /// of graph/substrate.hpp, shared with other engines on the graph).
+  ShardedRotorRouter(graph::CsrGraph csr,
+                     const std::vector<graph::NodeId>& agents,
+                     std::vector<std::uint32_t> pointers = {},
+                     std::uint32_t shards = 0,
+                     sim::ThreadPool* pool = nullptr);
+
+  /// As above over a snapshot of `g`, which must be connected.
   ShardedRotorRouter(const graph::Graph& g,
                      const std::vector<graph::NodeId>& agents,
                      std::vector<std::uint32_t> pointers = {},

@@ -16,6 +16,7 @@
 #include "common/hash.hpp"
 #include "core/rotor_state_io.hpp"
 #include "dist/worker.hpp"
+#include "graph/substrate.hpp"
 
 namespace rr::core {
 
@@ -48,17 +49,13 @@ std::unique_ptr<DistributedRotorRouter> DistributedRotorRouter::create(
     const std::vector<graph::NodeId>& agents,
     const std::vector<std::uint32_t>& pointers, const DistOptions& options,
     std::string* error) {
-  const auto g = descriptor.build();
-  if (!g) {
-    set_error(error, "dist: graph descriptor failed to build");
+  std::string reason;
+  auto csr = graph::intern_substrate(descriptor, &reason);
+  if (!csr) {
+    if (error != nullptr) *error = "dist: " + reason;
     return nullptr;
   }
-  if (!g->is_connected()) {
-    set_error(error, "dist: rotor-router requires a connected graph");
-    return nullptr;
-  }
-  graph::CsrGraph csr(*g);
-  const graph::NodeId n = csr.num_nodes();
+  const graph::NodeId n = csr->num_nodes();
   if (agents.empty() || agents.size() > ~std::uint32_t{0}) {
     set_error(error, "dist: at least one agent required");
     return nullptr;
@@ -75,7 +72,7 @@ std::unique_ptr<DistributedRotorRouter> DistributedRotorRouter::create(
       return nullptr;
     }
     for (graph::NodeId v = 0; v < n; ++v) {
-      if (pointers[v] >= csr.degree_unchecked(v)) {
+      if (pointers[v] >= csr->degree_unchecked(v)) {
         set_error(error, "dist: pointer out of range");
         return nullptr;
       }
@@ -84,7 +81,7 @@ std::unique_ptr<DistributedRotorRouter> DistributedRotorRouter::create(
   std::uint32_t workers = options.workers == 0 ? 1 : options.workers;
   if (workers > n) workers = n;
   std::unique_ptr<DistributedRotorRouter> eng(
-      new DistributedRotorRouter(std::move(csr), workers));
+      new DistributedRotorRouter(std::move(*csr), workers));
   if (!eng->spawn(options, error)) return nullptr;
   if (!eng->init_workers(descriptor, agents, pointers, options, error)) {
     return nullptr;

@@ -18,6 +18,7 @@
 #include "graph/csr_graph.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/partition.hpp"
+#include "graph/substrate.hpp"
 #include "sim/engine.hpp"
 
 namespace rr::dist {
@@ -37,9 +38,9 @@ class WorkerNode {
   bool init(const DistMsg& m) {
     const auto d = graph::GraphDescriptor::parse(m.text);
     if (!d) return false;
-    const auto g = d->build();
-    if (!g) return false;
-    csr_ = graph::CsrGraph(*g);
+    auto csr = graph::intern_substrate(*d);
+    if (!csr) return false;
+    csr_ = std::move(*csr);
     const std::uint64_t workers = m.value;
     if (workers == 0 || workers > csr_.num_nodes()) return false;
     part_ = std::make_unique<graph::Partition>(

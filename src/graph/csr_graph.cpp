@@ -6,27 +6,53 @@
 
 namespace rr::graph {
 
-CsrGraph::CsrGraph(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  num_nodes_ = n;
-  offsets_store_.resize(static_cast<std::size_t>(n) + 1);
-  offsets_store_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    offsets_store_[v + 1] = offsets_store_[v] + g.degree(v);
+void sort_row_ports(const NodeId* heads, std::uint32_t degree,
+                    std::uint32_t* ports) {
+  std::iota(ports, ports + degree, 0u);
+  std::sort(ports, ports + degree, [heads](std::uint32_t a, std::uint32_t b) {
+    return heads[a] != heads[b] ? heads[a] < heads[b] : a < b;
+  });
+}
+
+namespace {
+
+std::vector<std::size_t> degree_prefix_sums(const Graph& g) {
+  std::vector<std::size_t> offsets(static_cast<std::size_t>(g.num_nodes()) + 1);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    offsets[v + 1] = offsets[v] + g.degree(v);
   }
-  neighbors_store_.resize(offsets_store_[n]);
-  ports_store_.resize(offsets_store_[n]);
-  for (NodeId v = 0; v < n; ++v) {
+  return offsets;
+}
+
+std::vector<NodeId> flat_rows(const Graph& g) {
+  std::vector<NodeId> heads;
+  heads.reserve(g.num_arcs());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto row = g.neighbors(v);
-    std::copy(row.begin(), row.end(),
-              neighbors_store_.begin() + offsets_store_[v]);
-    auto* ports = ports_store_.data() + offsets_store_[v];
-    std::iota(ports, ports + row.size(), 0u);
-    const NodeId* heads = neighbors_store_.data() + offsets_store_[v];
-    std::sort(ports, ports + row.size(),
-              [heads](std::uint32_t a, std::uint32_t b) {
-                return heads[a] != heads[b] ? heads[a] < heads[b] : a < b;
-              });
+    heads.insert(heads.end(), row.begin(), row.end());
+  }
+  return heads;
+}
+
+}  // namespace
+
+CsrGraph::CsrGraph(const Graph& g)
+    : CsrGraph(degree_prefix_sums(g), flat_rows(g)) {}
+
+CsrGraph::CsrGraph(std::vector<std::size_t> offsets,
+                   std::vector<NodeId> neighbors)
+    : offsets_store_(std::move(offsets)),
+      neighbors_store_(std::move(neighbors)) {
+  RR_REQUIRE(!offsets_store_.empty() && offsets_store_.front() == 0 &&
+                 offsets_store_.back() == neighbors_store_.size(),
+             "CsrGraph offsets must prefix-sum the neighbor array");
+  num_nodes_ = static_cast<NodeId>(offsets_store_.size() - 1);
+  ports_store_.resize(neighbors_store_.size());
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    const std::size_t begin = offsets_store_[v];
+    sort_row_ports(neighbors_store_.data() + begin,
+                   static_cast<std::uint32_t>(offsets_store_[v + 1] - begin),
+                   ports_store_.data() + begin);
   }
   offsets_ = offsets_store_.data();
   neighbors_ = neighbors_store_.data();
@@ -43,6 +69,12 @@ CsrGraph::CsrGraph(const std::size_t* offsets, NodeId num_nodes,
       num_nodes_(num_nodes) {
   RR_REQUIRE(offsets_ != nullptr && neighbors_ != nullptr,
              "CsrGraph view requires offsets and neighbors arrays");
+}
+
+CsrGraph CsrGraph::shared_view(std::shared_ptr<const CsrGraph> owned) {
+  const CsrGraph& g = *owned;
+  return CsrGraph(g.offsets_, g.num_nodes_, g.neighbors_, g.sorted_ports_,
+                  std::move(owned));
 }
 
 CsrGraph& CsrGraph::operator=(const CsrGraph& other) {

@@ -18,10 +18,11 @@
 // *before* constructing the view.
 //
 // Storage comes in two modes behind the same pointer-based accessors:
-// owned (built from a Graph, arrays in member vectors) and view (arrays
-// live elsewhere — an mmap'd graph image, graph/mmap_substrate.hpp — and
-// `backing_` keeps that storage alive). Copying an owned CsrGraph copies
-// the arrays; copying a view shares them.
+// owned (built from a Graph or from streamed rows, arrays in member
+// vectors) and view (arrays live elsewhere — an mmap'd graph image,
+// graph/mmap_substrate.hpp, or an interned substrate, graph/substrate.hpp
+// — and `backing_` keeps that storage alive). Copying an owned CsrGraph
+// copies the arrays; copying a view shares them.
 
 #include <cstdint>
 #include <memory>
@@ -33,9 +34,20 @@
 
 namespace rr::graph {
 
+/// Fills `ports[0, degree)` with the row's port permutation sorted by
+/// (head, port) — the sorted-port index behind port_to/has_edge, shared
+/// by the in-RAM CSR and the rr-graph image builder.
+void sort_row_ports(const NodeId* heads, std::uint32_t degree,
+                    std::uint32_t* ports);
+
 class CsrGraph {
  public:
   explicit CsrGraph(const Graph& g);
+
+  /// Owned mode over prebuilt arrays: `offsets` (n+1 prefix sums,
+  /// offsets[0] == 0) and `neighbors` (offsets[n] arc heads in port
+  /// order); the sorted-port index is computed here.
+  CsrGraph(std::vector<std::size_t> offsets, std::vector<NodeId> neighbors);
 
   /// View over externally owned arrays: `offsets` (n+1 prefix sums),
   /// `neighbors` (offsets[n] arc heads), and optionally `sorted_ports`
@@ -45,6 +57,11 @@ class CsrGraph {
   CsrGraph(const std::size_t* offsets, NodeId num_nodes,
            const NodeId* neighbors, const std::uint32_t* sorted_ports,
            std::shared_ptr<const void> backing);
+
+  /// View over `owned`'s arrays that keeps `owned` alive: every copy
+  /// of the result shares one adjacency (graph/substrate.hpp interns
+  /// one per descriptor this way).
+  static CsrGraph shared_view(std::shared_ptr<const CsrGraph> owned);
 
   // Owned mode must rebind the accessor pointers to the copied vectors;
   // view mode shares the underlying arrays (and their backing). Moves

@@ -12,9 +12,13 @@ std::vector<std::size_t> arc_offsets(const Graph& g) {
   return offsets;
 }
 
-std::vector<Arc> eulerian_circuit(const Graph& g, NodeId start) {
+namespace {
+
+/// Hierholzer over either adjacency type (Graph or CsrGraph share the
+/// accessors it uses).
+template <typename G>
+std::vector<Arc> hierholzer(const G& g, NodeId start) {
   RR_REQUIRE(g.num_edges() > 0, "Eulerian circuit needs at least one edge");
-  RR_REQUIRE(g.is_connected(), "Eulerian circuit needs a connected graph");
   RR_REQUIRE(start < g.num_nodes(), "start out of range");
 
   // Hierholzer on the symmetric directed version: every node's out-degree
@@ -30,7 +34,7 @@ std::vector<Arc> eulerian_circuit(const Graph& g, NodeId start) {
     if (next_port[v] < g.degree(v)) {
       const Arc a{v, next_port[v]++};
       stack.push_back(a);
-      v = a.head(g);
+      v = g.neighbor(a.tail, a.port);
     } else if (!stack.empty()) {
       circuit.push_back(stack.back());
       v = stack.back().tail;
@@ -43,6 +47,17 @@ std::vector<Arc> eulerian_circuit(const Graph& g, NodeId start) {
   RR_REQUIRE(circuit.size() == g.num_arcs(),
              "graph must be connected for a full circuit");
   return circuit;
+}
+
+}  // namespace
+
+std::vector<Arc> eulerian_circuit(const Graph& g, NodeId start) {
+  RR_REQUIRE(g.is_connected(), "Eulerian circuit needs a connected graph");
+  return hierholzer(g, start);
+}
+
+std::vector<Arc> eulerian_circuit(const CsrGraph& g, NodeId start) {
+  return hierholzer(g, start);
 }
 
 bool is_eulerian_circuit(const Graph& g, const std::vector<Arc>& circuit) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 
 namespace rr::graph {
@@ -34,6 +35,11 @@ std::vector<std::size_t> arc_offsets(const Graph& g);
 /// exactly 2|E| arcs; consecutive arcs are incident (head == next tail)
 /// and the circuit closes. Requires `g` connected with at least one edge.
 std::vector<Arc> eulerian_circuit(const Graph& g, NodeId start);
+
+/// As above over a CSR that is already known to be connected (an interned
+/// substrate, graph/substrate.hpp); a disconnected one fails the circuit
+/// length check.
+std::vector<Arc> eulerian_circuit(const CsrGraph& g, NodeId start);
 
 /// Checks that `circuit` is a directed Eulerian circuit of `g`: correct
 /// length, incidence-chained, closed, and covering every arc exactly once.

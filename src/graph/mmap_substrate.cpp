@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <optional>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -15,8 +14,8 @@
 #endif
 
 #include "common/hash.hpp"
-#include "common/parse.hpp"
 #include "graph/descriptor.hpp"
+#include "graph/row_source.hpp"
 
 namespace rr::graph {
 
@@ -90,93 +89,6 @@ std::uint64_t align_page(std::uint64_t x) {
   return (x + kImagePage - 1) / kImagePage * kImagePage;
 }
 
-// ---- row sources ----
-//
-// A RowSource yields each node's port-ordered neighbor row; the builder
-// makes one streaming pass per section. Ring and torus reproduce the
-// exact port conventions of graph/generators.cpp arithmetically (the
-// image must be indistinguishable from CsrGraph(generators::ring(n))),
-// which the substrate test pins row-by-row at small sizes.
-
-class RowSource {
- public:
-  virtual ~RowSource() = default;
-  virtual std::uint64_t num_nodes() const = 0;
-  virtual std::uint64_t num_arcs() const = 0;
-  virtual std::uint32_t degree(NodeId v) const = 0;
-  /// Neighbors of v in port order (out is cleared first).
-  virtual void row(NodeId v, std::vector<NodeId>& out) const = 0;
-};
-
-/// generators.cpp ring: port 0 clockwise (v+1), port 1 anticlockwise.
-class RingSource final : public RowSource {
- public:
-  explicit RingSource(std::uint64_t n) : n_(n) {}
-  std::uint64_t num_nodes() const override { return n_; }
-  std::uint64_t num_arcs() const override { return 2 * n_; }
-  std::uint32_t degree(NodeId) const override { return 2; }
-  void row(NodeId v, std::vector<NodeId>& out) const override {
-    out.clear();
-    out.push_back(static_cast<NodeId>((v + 1) % n_));
-    out.push_back(static_cast<NodeId>((v + n_ - 1) % n_));
-  }
-
- private:
-  std::uint64_t n_;
-};
-
-/// generators.cpp torus: node id y*w + x; the port order falls out of
-/// the edge-insertion order (per cell: right then down, cells scanned in
-/// (y, x) order), which wraps differently on the x=0 and y=0 borders.
-class TorusSource final : public RowSource {
- public:
-  TorusSource(std::uint64_t w, std::uint64_t h) : w_(w), h_(h) {}
-  std::uint64_t num_nodes() const override { return w_ * h_; }
-  std::uint64_t num_arcs() const override { return 4 * w_ * h_; }
-  std::uint32_t degree(NodeId) const override { return 4; }
-  void row(NodeId v, std::vector<NodeId>& out) const override {
-    const std::uint64_t x = v % w_;
-    const std::uint64_t y = v / w_;
-    const auto id = [this](std::uint64_t xx, std::uint64_t yy) {
-      return static_cast<NodeId>(yy * w_ + xx);
-    };
-    const NodeId up = id(x, y == 0 ? h_ - 1 : y - 1);
-    const NodeId down = id(x, (y + 1) % h_);
-    const NodeId left = id(x == 0 ? w_ - 1 : x - 1, y);
-    const NodeId right = id((x + 1) % w_, y);
-    out.clear();
-    if (x > 0 && y > 0) {
-      out.assign({up, left, right, down});
-    } else if (x == 0 && y > 0) {
-      out.assign({up, right, down, left});
-    } else if (x > 0) {  // y == 0
-      out.assign({left, right, down, up});
-    } else {  // origin
-      out.assign({right, down, left, up});
-    }
-  }
-
- private:
-  std::uint64_t w_, h_;
-};
-
-/// Fallback for every other descriptor kind: rows straight off a built
-/// Graph (the descriptor layer's cost caps bound this path).
-class GraphSource final : public RowSource {
- public:
-  explicit GraphSource(const Graph& g) : g_(g) {}
-  std::uint64_t num_nodes() const override { return g_.num_nodes(); }
-  std::uint64_t num_arcs() const override { return g_.num_arcs(); }
-  std::uint32_t degree(NodeId v) const override { return g_.degree(v); }
-  void row(NodeId v, std::vector<NodeId>& out) const override {
-    const auto r = g_.neighbors(v);
-    out.assign(r.begin(), r.end());
-  }
-
- private:
-  const Graph& g_;
-};
-
 bool set_error(std::string* error, const char* message) {
   if (error != nullptr) *error = message;
   return false;
@@ -222,14 +134,6 @@ class ChunkWriter {
 
 #endif  // RR_HAVE_MMAP
 
-/// Node-count argument of the streamed kinds; mirrors the descriptor
-/// layer's numeric rules (NodeId-ranged) without its build-cost cap.
-std::optional<std::uint64_t> stream_arg(const std::string& token) {
-  const auto v = parse_u64(token);
-  if (!v || *v > (1ull << 31)) return std::nullopt;
-  return v;
-}
-
 }  // namespace
 
 #if defined(RR_HAVE_MMAP)
@@ -246,18 +150,9 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
   // memory under the descriptor layer's cost caps.
   std::optional<Graph> built;
   std::unique_ptr<RowSource> src;
-  if (d->kind == "ring") {
-    const auto n = stream_arg(d->args[0]);
-    if (!n || *n < 3) return set_error(error, "ring requires 3 <= n <= 2^31");
-    src = std::make_unique<RingSource>(*n);
-  } else if (d->kind == "torus") {
-    const auto w = stream_arg(d->args[0]);
-    const auto h = stream_arg(d->args[1]);
-    if (!w || !h || *w < 3 || *h < 3 ||
-        *w * *h > (1ull << 31)) {
-      return set_error(error, "torus requires 3 <= w,h and w*h <= 2^31");
-    }
-    src = std::make_unique<TorusSource>(*w, *h);
+  if (is_streamed_kind(d->kind)) {
+    src = streamed_rows(*d, error);
+    if (!src) return false;
   } else {
     built = d->build();
     if (!built) {
@@ -320,15 +215,12 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
     ChunkWriter<NodeId> neighbors(f, h.neighbors_off);
     ChunkWriter<std::uint32_t> sorted(f, h.ports_off);
     for (std::uint64_t v = 0; ok && v < n; ++v) {
-      src->row(static_cast<NodeId>(v), nbr);
+      const std::uint32_t degree = src->degree(static_cast<NodeId>(v));
+      nbr.resize(degree);
+      ports.resize(degree);
+      src->row(static_cast<NodeId>(v), nbr.data());
+      sort_row_ports(nbr.data(), degree, ports.data());
       neighbors.append(nbr.data(), nbr.size());
-      ports.resize(nbr.size());
-      std::iota(ports.begin(), ports.end(), 0u);
-      const NodeId* heads = nbr.data();
-      std::sort(ports.begin(), ports.end(),
-                [heads](std::uint32_t a, std::uint32_t b) {
-                  return heads[a] != heads[b] ? heads[a] < heads[b] : a < b;
-                });
       sorted.append(ports.data(), ports.size());
       ok = neighbors.maybe_flush() && sorted.maybe_flush();
     }

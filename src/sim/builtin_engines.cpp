@@ -18,6 +18,7 @@
 #include "core/sharded_rotor_router.hpp"
 #include "dist/coordinator.hpp"
 #include "graph/descriptor.hpp"
+#include "graph/substrate.hpp"
 #include "sim/registry.hpp"
 #include "walk/random_walk.hpp"
 
@@ -46,15 +47,6 @@ std::optional<std::vector<std::uint8_t>> ring_pointers(
   return out;
 }
 
-/// Builds the substrate for graph-backed engines (descriptor validity was
-/// checked by the registry; build() re-validates parameters).
-std::optional<graph::Graph> build_graph(const graph::GraphDescriptor& d,
-                                        std::string* error) {
-  auto g = d.build();
-  if (!g) fail(error, "invalid graph parameters");
-  return g;
-}
-
 template <typename EngineT, typename... Args>
 std::unique_ptr<Engine> restored(const StateReader& state, Args&&... args) {
   auto engine = std::make_unique<EngineT>(std::forward<Args>(args)...);
@@ -75,37 +67,32 @@ void register_rotor(EngineRegistry& r) {
       .cycle_accumulators = {"time", "visits", "exits", "last_visit"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = build_graph(d, error);
-        if (!g) return nullptr;
-        if (!c.pointers.empty() && c.pointers.size() != g->num_nodes()) {
+        auto csr = graph::intern_substrate(d, error);
+        if (!csr) return nullptr;
+        if (!c.pointers.empty() && c.pointers.size() != csr->num_nodes()) {
           fail(error, "pointer field size must match the node count");
           return nullptr;
         }
         if (c.shards > 1) {
           return std::make_unique<core::ShardedRotorRouter>(
-              *g, agents_of(c), c.pointers, c.shards, c.pool);
+              std::move(*csr), agents_of(c), c.pointers, c.shards, c.pool);
         }
-        return std::make_unique<core::RotorRouter>(*g, agents_of(c),
-                                                   c.pointers);
+        return std::make_unique<core::RotorRouter>(std::move(*csr),
+                                                   agents_of(c), c.pointers);
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig& c) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
-        if (!g) return nullptr;
+        auto csr = graph::intern_substrate(d);
+        if (!csr) return nullptr;
         // The shard count is an execution choice, not checkpoint state:
         // the same document restores sequentially or shard-parallel.
         if (c.shards > 1) {
           return restored<core::ShardedRotorRouter>(
-              state, *g, std::vector<graph::NodeId>{0},
+              state, std::move(*csr), std::vector<graph::NodeId>{0},
               std::vector<std::uint32_t>{}, c.shards, c.pool);
         }
-        // A pool without a shard request still helps: the sequential
-        // engine's restore decodes v2 per-node segments pool-parallel
-        // (bit-identical result; see deserialize_rotor_state).
-        auto engine = std::make_unique<core::RotorRouter>(
-            *g, std::vector<graph::NodeId>{0});
-        if (!engine->deserialize_state(state, c.pool)) return nullptr;
-        return engine;
+        return restored<core::RotorRouter>(state, std::move(*csr),
+                                           std::vector<graph::NodeId>{0});
       },
   });
 }
@@ -186,17 +173,17 @@ void register_walks(EngineRegistry& r) {
       .cycle_accumulators = {},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = build_graph(d, error);
-        if (!g) return nullptr;
-        return std::make_unique<walk::GraphRandomWalks>(*g, agents_of(c),
-                                                        c.seed);
+        auto csr = graph::intern_substrate(d, error);
+        if (!csr) return nullptr;
+        return std::make_unique<walk::GraphRandomWalks>(std::move(*csr),
+                                                        agents_of(c), c.seed);
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig&) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
-        if (!g || g->degree(0) == 0) return nullptr;  // placeholder walker
+        auto csr = graph::intern_substrate(d);
+        if (!csr || csr->degree(0) == 0) return nullptr;  // placeholder walker
         return restored<walk::GraphRandomWalks>(
-            state, *g, std::vector<graph::NodeId>{0}, /*seed=*/1);
+            state, std::move(*csr), std::vector<graph::NodeId>{0}, /*seed=*/1);
       },
   });
 }
@@ -214,20 +201,21 @@ void register_eulerian(EngineRegistry& r) {
       .cycle_accumulators = {"time", "visits"},
       .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
                     std::string* error) -> std::unique_ptr<Engine> {
-        const auto g = build_graph(d, error);
-        if (!g) return nullptr;
-        if (g->num_edges() == 0) {
+        auto csr = graph::intern_substrate(d, error);
+        if (!csr) return nullptr;
+        if (csr->num_edges() == 0) {
           fail(error, "token circulation needs at least one edge");
           return nullptr;
         }
-        return std::make_unique<core::EulerianRotorRouter>(*g, agents_of(c));
+        return std::make_unique<core::EulerianRotorRouter>(std::move(*csr),
+                                                           agents_of(c));
       },
       .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
                     const EngineConfig&) -> std::unique_ptr<Engine> {
-        const auto g = d.build();
-        if (!g || g->num_edges() == 0) return nullptr;
+        auto csr = graph::intern_substrate(d);
+        if (!csr || csr->num_edges() == 0) return nullptr;
         return restored<core::EulerianRotorRouter>(
-            state, *g, std::vector<graph::NodeId>{0});
+            state, std::move(*csr), std::vector<graph::NodeId>{0});
       },
   });
 }

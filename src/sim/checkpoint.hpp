@@ -23,9 +23,10 @@
 // reconstruct the run with no out-of-band knowledge: restore_checkpoint
 // resolves the backend through sim::EngineRegistry (sim/registry.hpp),
 // which validates the substrate and invokes the spec's restore hook —
-// rebuild the graph from the descriptor, instantiate the engine, hand
-// the body to its StateIO::deserialize_state. This layer knows no
-// backend by name.
+// intern the descriptor's substrate (graph/substrate.hpp; shared with any
+// live engine on the same graph), instantiate the engine, hand the body
+// to its StateIO::deserialize_state. This layer knows no backend by
+// name.
 //
 // Correctness contract (enforced by the differential harness's
 // save→load→continue lane, which alternates formats): for every backend,
@@ -94,8 +95,8 @@ std::optional<ParsedCheckpoint> parse_checkpoint(const std::string& text,
 std::optional<ParsedCheckpoint> parse_checkpoint_file(
     const std::string& path, ThreadPool* pool = nullptr);
 
-/// Rebuilds the graph, instantiates the named backend, and restores the
-/// state. nullptr on malformed input, unknown engine, or a state body
+/// Interns the substrate, instantiates the named backend, and restores
+/// the state. nullptr on malformed input, unknown engine, or a state body
 /// inconsistent with the substrate.
 std::unique_ptr<Engine> restore_checkpoint(const std::string& text);
 

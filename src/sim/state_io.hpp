@@ -349,7 +349,7 @@ class U64ListCursor {
 
   std::optional<Run> next_run() {
     if (segs_ == nullptr) return next_text();
-    while (seg_i_ < seg_end_) {
+    while (seg_i_ < segs_->size()) {
       const PackedSegment& s = (*segs_)[seg_i_];
       if (seg_produced_ == s.count) {
         if (pos_ != s.bytes.size()) return std::nullopt;  // trailing bytes
@@ -388,7 +388,7 @@ class U64ListCursor {
   /// payload fully read, or the text value has no surplus elements.
   bool finished() {
     if (segs_ == nullptr) return tpos_ == text_.size() + 1 || text_.empty();
-    while (seg_i_ < seg_end_) {
+    while (seg_i_ < segs_->size()) {
       const PackedSegment& s = (*segs_)[seg_i_];
       if (seg_produced_ != s.count || pos_ != s.bytes.size()) return false;
       ++seg_i_;
@@ -401,14 +401,7 @@ class U64ListCursor {
  private:
   friend class StateReader;
   explicit U64ListCursor(const std::vector<PackedSegment>* segs)
-      : U64ListCursor(segs, 0, segs->size()) {}
-  /// Window form: iterates segments [seg_begin, seg_end) only. Each
-  /// segment's delta stream restarts from the 0 baseline, so a window is
-  /// decodable with no knowledge of the segments before it — this is
-  /// what lets the restore path hand disjoint windows to pool threads.
-  U64ListCursor(const std::vector<PackedSegment>* segs, std::size_t seg_begin,
-                std::size_t seg_end)
-      : segs_(segs), seg_i_(seg_begin), seg_end_(seg_end) {}
+      : segs_(segs) {}
   explicit U64ListCursor(std::string_view text) : text_(text) {}
 
   std::optional<Run> next_text() {
@@ -426,7 +419,6 @@ class U64ListCursor {
   // Packed mode (segs_ != nullptr).
   const std::vector<PackedSegment>* segs_ = nullptr;
   std::size_t seg_i_ = 0;
-  std::size_t seg_end_ = 0;
   std::size_t pos_ = 0;
   std::uint64_t seg_produced_ = 0;
   std::uint64_t value_ = 0;
@@ -527,44 +519,6 @@ class StateReader {
     return U64ListCursor(std::string_view(v->text));
   }
 
-  /// Cumulative element counts at the packed-segment boundaries of a u64
-  /// list field: [0, c0, c0+c1, ..., expected]. The parallel restore
-  /// path compares boundary vectors across its lockstep fields — when
-  /// they agree, the node range splits into windows each thread can
-  /// decode independently. nullopt for v1 text fields (no segment
-  /// structure — callers fall back to the sequential walk), missing or
-  /// wrong-typed keys, and count mismatches.
-  std::optional<std::vector<std::uint64_t>> u64_list_segment_bounds(
-      std::string_view key, std::size_t expected) const {
-    if (expected == 0) return std::nullopt;
-    const ReaderValue* v = find(key);
-    if (!v || v->kind != ReaderValue::Kind::kPackedList) return std::nullopt;
-    std::vector<std::uint64_t> bounds;
-    bounds.reserve(v->segs.size() + 1);
-    bounds.push_back(0);
-    std::uint64_t total = 0;
-    for (const PackedSegment& s : v->segs) {
-      if (s.count > ~std::uint64_t{0} - total) return std::nullopt;
-      total += s.count;
-      bounds.push_back(total);
-    }
-    if (total != expected) return std::nullopt;
-    return bounds;
-  }
-
-  /// Cursor over segments [seg_begin, seg_end) of a *packed* u64 list
-  /// field. Segments restart their delta baseline, so a window decodes
-  /// with no knowledge of earlier segments; the parallel restore hands
-  /// disjoint windows to pool threads. Validate the segment layout with
-  /// u64_list_segment_bounds first — this only checks the indices.
-  std::optional<U64ListCursor> u64_list_cursor_window(
-      std::string_view key, std::size_t seg_begin, std::size_t seg_end) const {
-    const ReaderValue* v = find(key);
-    if (!v || v->kind != ReaderValue::Kind::kPackedList) return std::nullopt;
-    if (seg_begin > seg_end || seg_end > v->segs.size()) return std::nullopt;
-    return U64ListCursor(&v->segs, seg_begin, seg_end);
-  }
-
   /// Direction field: v1 'c' -> 0, 'w' -> 1; exact length `expected`.
   std::optional<std::vector<std::uint8_t>> dirs(std::string_view key,
                                                 std::size_t expected) const {
@@ -602,7 +556,7 @@ class StateReader {
 /// Implemented by every engine backend alongside sim::Engine. The engine
 /// must already have the right topology (same graph / ring size) before
 /// deserialize_state is called; the checkpoint layer guarantees this by
-/// rebuilding the graph from the checkpoint's descriptor first.
+/// building the engine on the checkpoint descriptor's substrate first.
 class StateIO {
  public:
   virtual ~StateIO() = default;

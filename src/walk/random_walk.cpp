@@ -1,30 +1,36 @@
 #include "walk/random_walk.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/hash.hpp"
 
 namespace rr::walk {
 
-GraphRandomWalks::GraphRandomWalks(const graph::Graph& g,
+GraphRandomWalks::GraphRandomWalks(graph::CsrGraph csr,
                                    std::vector<graph::NodeId> starts,
                                    std::uint64_t seed)
-    : csr_(g),
+    : csr_(std::move(csr)),
       rng_(seed),
       pos_(std::move(starts)),
-      visits_(g.num_nodes(), 0),
-      first_visit_(g.num_nodes(), kGraphWalkNotCovered),
-      present_(g.num_nodes(), 0),
-      hold_left_(g.num_nodes(), 0) {
+      visits_(csr_.num_nodes(), 0),
+      first_visit_(csr_.num_nodes(), kGraphWalkNotCovered),
+      present_(csr_.num_nodes(), 0),
+      hold_left_(csr_.num_nodes(), 0) {
   RR_REQUIRE(!pos_.empty(), "at least one walker required");
   for (graph::NodeId v : pos_) {
-    RR_REQUIRE(v < g.num_nodes(), "walker start out of range");
+    RR_REQUIRE(v < csr_.num_nodes(), "walker start out of range");
     // Every reachable node is someone's neighbor (degree >= 1), so checking
     // the starts keeps the stepping loop free of bounds checks.
-    RR_REQUIRE(g.degree(v) > 0, "walker start on isolated node");
+    RR_REQUIRE(csr_.degree(v) > 0, "walker start on isolated node");
     record_visit(v);  // time_ == 0: initial placement counts as a visit
   }
 }
+
+GraphRandomWalks::GraphRandomWalks(const graph::Graph& g,
+                                   std::vector<graph::NodeId> starts,
+                                   std::uint64_t seed)
+    : GraphRandomWalks(graph::CsrGraph(g), std::move(starts), seed) {}
 
 void GraphRandomWalks::step() {
   ++time_;

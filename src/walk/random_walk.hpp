@@ -30,6 +30,12 @@ inline constexpr std::uint64_t kGraphWalkNotCovered = sim::kNotCovered;
 
 class GraphRandomWalks final : public sim::Engine, public sim::StateIO {
  public:
+  /// Walkers start at `starts` (each on a node of degree >= 1) on the
+  /// adjacency `csr` (e.g. an interned substrate, graph/substrate.hpp).
+  GraphRandomWalks(graph::CsrGraph csr, std::vector<graph::NodeId> starts,
+                   std::uint64_t seed);
+
+  /// As above over a snapshot of `g`.
   GraphRandomWalks(const graph::Graph& g, std::vector<graph::NodeId> starts,
                    std::uint64_t seed);
 

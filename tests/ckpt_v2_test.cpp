@@ -470,9 +470,9 @@ TEST(CkptV2, StreamingFileParseMatchesInMemory) {
 
 TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
   // v2 per-node frames decode independently (delta baselines restart at
-  // every segment boundary), so parse_checkpoint and the rotor restore
-  // both take a pool — the result must be indistinguishable from the
-  // sequential load, for any segment split.
+  // every segment boundary), so parse_checkpoint takes a pool — the
+  // restored engine must be indistinguishable from the sequential load,
+  // for any segment split.
   graph::Graph torus = graph::torus(16, 16);
   core::RotorRouter engine(torus, {0, 17, 40, 200});
   engine.run(313);
@@ -490,7 +490,7 @@ TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
     const auto par = parse_checkpoint(text, &pool);
     ASSERT_TRUE(par.has_value());
     core::RotorRouter b(torus, {0});
-    ASSERT_TRUE(b.deserialize_state(par->state, &pool));
+    ASSERT_TRUE(b.deserialize_state(par->state));
 
     EXPECT_EQ(a.config_hash(), engine.config_hash());
     EXPECT_EQ(b.config_hash(), engine.config_hash());
@@ -524,8 +524,8 @@ TEST(CkptV2, PooledFileRestoreMatchesSequential) {
 }
 
 TEST(CkptV2, PooledLoadOfV1DocumentsFallsBackToSequential) {
-  // v1 text bodies have no independently decodable segments: the pool
-  // overloads must quietly take the sequential path and still restore
+  // v1 text bodies have no independently decodable segments: the pooled
+  // parse must quietly take the sequential path and still restore
   // exactly.
   graph::Graph torus = graph::torus(8, 8);
   core::RotorRouter engine(torus, {0, 17});
@@ -536,7 +536,7 @@ TEST(CkptV2, PooledLoadOfV1DocumentsFallsBackToSequential) {
   const auto parsed = parse_checkpoint(text, &pool);
   ASSERT_TRUE(parsed.has_value());
   core::RotorRouter sink(torus, {0});
-  ASSERT_TRUE(sink.deserialize_state(parsed->state, &pool));
+  ASSERT_TRUE(sink.deserialize_state(parsed->state));
   EXPECT_EQ(sink.config_hash(), engine.config_hash());
   expect_lockstep(engine, sink, 50);
 }

@@ -33,8 +33,10 @@ std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   const auto& c = info.param;
   const char* p[] = {"AllOnOne", "Spaced", "Random", "Clustered"};
   const char* q[] = {"Uniform", "RandomPtr", "Toward", "Negative"};
-  return "n" + std::to_string(c.n) + "k" + std::to_string(c.k) +
-         p[static_cast<int>(c.placement)] + q[static_cast<int>(c.pointers)];
+  std::string name = "n";
+  name += std::to_string(c.n) + "k" + std::to_string(c.k) +
+          p[static_cast<int>(c.placement)] + q[static_cast<int>(c.pointers)];
+  return name;
 }
 
 std::vector<NodeId> make_agents(const Config& c, Rng& rng) {

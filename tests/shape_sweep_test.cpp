@@ -25,8 +25,9 @@ struct SweepPoint {
 };
 
 std::string point_name(const ::testing::TestParamInfo<SweepPoint>& info) {
-  return "n" + std::to_string(info.param.n) + "k" +
-         std::to_string(info.param.k);
+  std::string name = "n";
+  name += std::to_string(info.param.n) + "k" + std::to_string(info.param.k);
+  return name;
 }
 
 class ShapeSweep : public ::testing::TestWithParam<SweepPoint> {};
