@@ -312,7 +312,9 @@ int main() {
     }
     const auto resume_s = [&] {
       const auto t0 = std::chrono::steady_clock::now();
-      const auto engine = rr::sim::restore_checkpoint_file(path);
+      const auto parsed = rr::sim::parse_checkpoint_file(path);
+      RR_REQUIRE(parsed.has_value(), "resume lane checkpoint parse failed");
+      const auto engine = rr::sim::restore_checkpoint(*parsed);
       const double dt = now_minus(t0);
       RR_REQUIRE(engine != nullptr && engine->config_hash() == want_hash,
                  "resume lane restore changed the configuration");

@@ -18,12 +18,13 @@
 // `--engine help` lists them) on any substrate (--topo/--size sugar or a
 // raw --graph "torus 16 16" descriptor) through the engine-generic
 // checkpoint layer: --checkpoint serializes the full state after the run,
-// --resume restores one and continues bit-exactly. Engines are built
-// exclusively through sim::EngineRegistry — this driver knows no backend
-// by name. --shards N steps shard-capable engines shard-parallel
-// (bit-equal to sequential; also applies when resuming their
-// checkpoints), and --checkpoint-every N rewrites --checkpoint atomically
-// every N rounds while the run is in flight (crash-tolerant sweeps).
+// --resume restores one and continues bit-exactly. Fresh and resumed
+// engines alike are built through sim::EngineRegistry, except the
+// rotor-router over a --graph-image (below). --shards N steps
+// shard-capable engines shard-parallel (bit-equal to sequential; also
+// applies when resuming their checkpoints), and --checkpoint-every N
+// rewrites --checkpoint atomically every N rounds while the run is in
+// flight (crash-tolerant sweeps).
 // --ckpt-format picks the checkpoint wire format (v2 binary by default;
 // v1 is the interop text form — readers sniff, so either resumes).
 //
@@ -43,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/parse.hpp"
@@ -93,13 +95,12 @@ struct Flags {
   // so resumed leaps stay exact). Off by default to keep checkpoint
   // bytes identical to hint-unaware builds.
   std::string cycle_hint = "off";
-  // Distributed stepping (--engine dist): worker count, spill batch, how
-  // to obtain workers (rr_noded path, "threads", or default sibling
-  // binary) and an optional AF_UNIX listen path for external workers.
+  // Distributed stepping (--engine dist): worker count, spill batch and
+  // how to obtain workers (rr_noded path, "threads", or default sibling
+  // binary).
   std::uint32_t workers = 2;
   std::uint64_t spill_batch = 256;
   std::string noded;
-  std::string dist_socket;
 };
 
 bool parse_ckpt_format(const std::string& s, rr::sim::CkptFormat& format) {
@@ -155,7 +156,7 @@ int usage() {
                "       --cycle-hint on|off (persist/adopt confirmed periods"
                " via checkpoint cycle.hint; default off)\n"
                "       --engine dist: --workers N --spill-batch N"
-               " [--noded PATH|threads | --dist-socket PATH]\n"
+               " [--noded PATH|threads]\n"
                "  lockin: --topo ring|grid|torus|clique|hypercube|tree"
                " --size N\n"
                "  engines: list registered backends with substrate"
@@ -275,10 +276,6 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       const char* v = next("--noded");
       if (!v) return false;
       f.noded = v;
-    } else if (a == "--dist-socket") {
-      const char* v = next("--dist-socket");
-      if (!v) return false;
-      f.dist_socket = v;
     } else if (a == "--cycle-jump") {
       const char* v = next("--cycle-jump");
       if (!v) return false;
@@ -367,55 +364,39 @@ std::vector<rr::graph::NodeId> spread_agents(rr::graph::NodeId n,
   return agents;
 }
 
-// Fills the dist-backend fields of an EngineConfig. For --engine dist
-// without --noded/--dist-socket, workers default to a fork/exec'd
-// rr_noded sitting next to this binary; --noded threads forces the
-// in-process transport instead (same protocol, zero setup).
-bool fill_dist_config(const Flags& f, rr::sim::EngineConfig& config) {
-  config.dist_workers = f.workers;
-  config.dist_spill_batch = f.spill_batch;
-  config.dist_socket = f.dist_socket;
-  if (f.engine != "dist" || !f.dist_socket.empty()) return true;
-  if (f.noded == "threads") return true;
-  if (!f.noded.empty()) {
-    config.dist_noded = f.noded;
-    return true;
-  }
+// Path of an executable rr_noded next to this binary; empty if none.
+std::string sibling_noded() {
   char buf[4096];
   const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (len > 0) {
-    buf[len] = '\0';
-    std::string path(buf);
-    const auto slash = path.rfind('/');
-    path.resize(slash == std::string::npos ? 0 : slash + 1);
-    path += "rr_noded";
-    if (::access(path.c_str(), X_OK) == 0) {
-      config.dist_noded = path;
-      return true;
-    }
-  }
-  std::fprintf(stderr,
-               "rr_cli: cannot find rr_noded next to rr_cli; use "
-               "--noded PATH or --noded threads\n");
-  return false;
+  if (len <= 0) return {};
+  buf[len] = '\0';
+  std::string path(buf);
+  const auto slash = path.rfind('/');
+  path.resize(slash == std::string::npos ? 0 : slash + 1);
+  path += "rr_noded";
+  return ::access(path.c_str(), X_OK) == 0 ? path : std::string();
 }
 
-std::unique_ptr<rr::sim::Engine> build_engine(const Flags& f,
-                                              const std::string& descriptor) {
+// The registry construction path of `run` and `trace`. Builds the
+// EngineConfig from the flags (spread agents, seed, shards, dist
+// transport), then creates a fresh engine or, given a parsed checkpoint,
+// restores it through the same factory. The checkpoint's engine wins
+// except under --engine dist, which resumes a rotor-router document
+// distributed (the field sets are interchangeable), under any worker
+// count. nullptr after printing the cause.
+std::unique_ptr<rr::sim::Engine> registry_engine(
+    const Flags& f, const std::string& descriptor,
+    const rr::sim::ParsedCheckpoint* resume) {
   const auto& registry = rr::sim::EngineRegistry::instance();
+  const std::string key =
+      !resume || f.engine == "dist" ? f.engine : resume->engine;
   const auto d = rr::graph::GraphDescriptor::parse(descriptor);
   if (!d) {
     std::fprintf(stderr, "rr_cli: malformed graph descriptor '%s'\n",
                  descriptor.c_str());
     return nullptr;
   }
-  const auto n = d->num_nodes();
-  if (!n) {
-    std::fprintf(stderr, "rr_cli: invalid graph parameters '%s'\n",
-                 descriptor.c_str());
-    return nullptr;
-  }
-  const auto* spec = registry.find(f.engine);
+  const auto* spec = registry.find(key);
   if (spec && f.shards > 1 && !spec->supports_shards) {
     std::fprintf(stderr,
                  "rr_cli: --shards only applies to shard-capable engines; "
@@ -423,14 +404,86 @@ std::unique_ptr<rr::sim::Engine> build_engine(const Flags& f,
                  spec->name.c_str());
   }
   rr::sim::EngineConfig config;
-  config.agents = spread_agents(*n, f.k);
+  if (const auto n = d->num_nodes()) config.agents = spread_agents(*n, f.k);
   config.seed = f.seed;
   config.shards = f.shards;
-  if (!fill_dist_config(f, config)) return nullptr;
+  config.dist_workers = f.workers;
+  config.dist_spill_batch = f.spill_batch;
+  // --engine dist without --noded fork/execs the rr_noded sitting next to
+  // this binary; --noded threads forces the in-process transport instead
+  // (same protocol, zero setup).
+  if (key == "dist" && f.noded != "threads") {
+    config.dist_noded = f.noded.empty() ? sibling_noded() : f.noded;
+    if (config.dist_noded.empty()) {
+      std::fprintf(stderr,
+                   "rr_cli: cannot find rr_noded next to rr_cli; use "
+                   "--noded PATH or --noded threads\n");
+      return nullptr;
+    }
+  }
   std::string error;
-  auto engine = registry.create(f.engine, *d, config, &error);
+  auto engine =
+      resume ? registry.restore(key, *d, resume->state, config, &error)
+             : registry.create(key, *d, config, &error);
   if (!engine) std::fprintf(stderr, "rr_cli: %s\n", error.c_str());
   return engine;
+}
+
+// The rotor-router over an mmap'd rr-graph image, fresh or resumed. Not a
+// registry path: the engine maps its own state sections (node_state,
+// visit_stats) from the image, not just the adjacency. nullptr after
+// printing the cause.
+std::unique_ptr<rr::sim::Engine> image_engine(
+    const Flags& f,
+    const std::shared_ptr<rr::graph::MappedSubstrate>& substrate,
+    const rr::sim::ParsedCheckpoint* resume) {
+  if (f.engine != "rotor") {
+    std::fprintf(stderr,
+                 "rr_cli: --graph-image drives the rotor engine "
+                 "(got --engine %s)\n",
+                 f.engine.c_str());
+    return nullptr;
+  }
+  if (f.shards > 1) {
+    std::fprintf(stderr,
+                 "rr_cli: --shards does not apply to --graph-image runs; "
+                 "stepping sequentially\n");
+  }
+  if (resume && resume->engine != "rotor-router") {
+    std::fprintf(stderr,
+                 "rr_cli: --graph-image resumes rotor-router checkpoints "
+                 "only (checkpoint engine: %s)\n",
+                 resume->engine.c_str());
+    return nullptr;
+  }
+  if (resume && resume->graph_descriptor != substrate->descriptor()) {
+    std::fprintf(stderr,
+                 "rr_cli: checkpoint graph '%s' does not match image "
+                 "graph '%s'\n",
+                 resume->graph_descriptor.c_str(),
+                 substrate->descriptor().c_str());
+    return nullptr;
+  }
+  // A resume starts from a placeholder agent; deserialize_state rewrites
+  // every per-node field.
+  auto rotor = std::make_unique<rr::core::RotorRouter>(
+      substrate,
+      resume ? std::vector<rr::graph::NodeId>{0}
+             : spread_agents(substrate->num_nodes(), f.k));
+  if (resume) {
+    substrate->advise_sequential();
+    if (!rotor->deserialize_state(resume->state)) {
+      std::fprintf(stderr, "rr_cli: checkpoint state does not fit image %s\n",
+                   f.graph_image.c_str());
+      return nullptr;
+    }
+  }
+  substrate->advise_random();
+  std::printf("image %s: '%s' %llu nodes, %.2f GB mapped\n",
+              f.graph_image.c_str(), substrate->descriptor().c_str(),
+              static_cast<unsigned long long>(substrate->num_nodes()),
+              static_cast<double>(substrate->image_bytes()) / (1u << 30));
+  return rotor;
 }
 
 int cmd_engines() {
@@ -442,29 +495,13 @@ int cmd_run(const Flags& f) {
   rr::sim::CkptFormat format;
   if (!parse_ckpt_format(f.ckpt_format, format)) return 2;
 
-  std::shared_ptr<rr::graph::MappedSubstrate> substrate;
-  if (!f.graph_image.empty()) {
-    substrate = rr::graph::MappedSubstrate::open(f.graph_image);
-    if (!substrate) {
-      std::fprintf(stderr, "rr_cli: cannot open graph image %s\n",
-                   f.graph_image.c_str());
-      return 2;
-    }
-    if (f.shards > 1) {
-      std::fprintf(stderr,
-                   "rr_cli: --shards does not apply to --graph-image runs; "
-                   "stepping sequentially\n");
-    }
-  }
-
-  std::unique_ptr<rr::sim::Engine> engine;
-  std::string descriptor;
+  std::optional<rr::sim::ParsedCheckpoint> parsed;
   rr::sim::CycleJumpOptions cj_options;
   cj_options.persist_hint = f.cycle_hint == "on";
   if (!f.resume.empty()) {
     // Streaming parse: peak memory is one frame/field, so resuming an
     // out-of-core-sized checkpoint does not buffer the whole document.
-    const auto parsed = rr::sim::parse_checkpoint_file(f.resume);
+    parsed = rr::sim::parse_checkpoint_file(f.resume);
     if (!parsed) {
       std::fprintf(stderr, "rr_cli: malformed checkpoint %s\n",
                    f.resume.c_str());
@@ -480,90 +517,30 @@ int cmd_run(const Flags& f) {
         }
       }
     }
-    if (substrate) {
-      if (parsed->engine != std::string("rotor-router")) {
-        std::fprintf(stderr,
-                     "rr_cli: --graph-image resumes rotor-router checkpoints "
-                     "only (checkpoint engine: %s)\n",
-                     parsed->engine.c_str());
-        return 2;
-      }
-      if (parsed->graph_descriptor != substrate->descriptor()) {
-        std::fprintf(stderr,
-                     "rr_cli: checkpoint graph '%s' does not match image "
-                     "graph '%s'\n",
-                     parsed->graph_descriptor.c_str(),
-                     substrate->descriptor().c_str());
-        return 2;
-      }
-      // Construct over the image with a placeholder agent, then restore;
-      // deserialize_state rewrites every per-node field.
-      auto rotor = std::make_unique<rr::core::RotorRouter>(
-          substrate, std::vector<rr::graph::NodeId>{0});
-      substrate->advise_sequential();
-      if (!rotor->deserialize_state(parsed->state)) {
-        std::fprintf(stderr, "rr_cli: checkpoint state does not fit image %s\n",
-                     f.graph_image.c_str());
-        return 2;
-      }
-      substrate->advise_random();
-      engine = std::move(rotor);
-    } else if (f.engine == "dist") {
-      // Resume *distributed*: the checkpoint is a plain rotor-router
-      // document (the field sets are interchangeable), restored through
-      // the dist spec so the workers come up scattered at the saved
-      // round — including with a different worker count than the run
-      // that wrote it.
-      const auto d = rr::graph::GraphDescriptor::parse(parsed->graph_descriptor);
-      rr::sim::EngineConfig config;
-      if (!d || !fill_dist_config(f, config)) return 2;
-      std::string error;
-      engine = rr::sim::EngineRegistry::instance().restore(
-          "dist", *d, parsed->state, config, &error);
-      if (!engine) {
-        std::fprintf(stderr, "rr_cli: %s\n", error.c_str());
-        return 2;
-      }
-    } else {
-      const auto* spec =
-          rr::sim::EngineRegistry::instance().find(parsed->engine);
-      if (f.shards > 1 && (!spec || !spec->supports_shards)) {
-        std::fprintf(stderr,
-                     "rr_cli: --shards only applies to shard-capable "
-                     "engines; resuming %s sequentially\n",
-                     parsed->engine.c_str());
-      }
-      engine = rr::sim::restore_checkpoint_sharded(*parsed, f.shards);
-      if (!engine) {
-        std::fprintf(stderr, "rr_cli: malformed checkpoint %s\n",
-                     f.resume.c_str());
-        return 2;
-      }
-    }
-    descriptor = parsed->graph_descriptor;
-    std::printf("resumed %s on '%s' at t=%llu\n", engine->engine_name(),
-                descriptor.c_str(),
-                static_cast<unsigned long long>(engine->time()));
-  } else if (substrate) {
-    if (f.engine != "rotor") {
-      std::fprintf(stderr,
-                   "rr_cli: --graph-image drives the rotor engine "
-                   "(got --engine %s)\n",
-                   f.engine.c_str());
+  }
+  const rr::sim::ParsedCheckpoint* resume = parsed ? &*parsed : nullptr;
+
+  std::unique_ptr<rr::sim::Engine> engine;
+  std::string descriptor;
+  std::shared_ptr<rr::graph::MappedSubstrate> substrate;
+  if (f.graph_image.empty()) {
+    descriptor = resume ? resume->graph_descriptor : topo_descriptor(f);
+    engine = registry_engine(f, descriptor, resume);
+  } else {
+    substrate = rr::graph::MappedSubstrate::open(f.graph_image);
+    if (!substrate) {
+      std::fprintf(stderr, "rr_cli: cannot open graph image %s\n",
+                   f.graph_image.c_str());
       return 2;
     }
     descriptor = substrate->descriptor();
-    engine = std::make_unique<rr::core::RotorRouter>(
-        substrate, spread_agents(substrate->num_nodes(), f.k));
-    substrate->advise_random();
-    std::printf("image %s: '%s' %llu nodes, %.2f GB mapped\n",
-                f.graph_image.c_str(), descriptor.c_str(),
-                static_cast<unsigned long long>(substrate->num_nodes()),
-                static_cast<double>(substrate->image_bytes()) / (1u << 30));
-  } else {
-    descriptor = topo_descriptor(f);
-    engine = build_engine(f, descriptor);
-    if (!engine) return 2;
+    engine = image_engine(f, substrate, resume);
+  }
+  if (!engine) return 2;
+  if (resume) {
+    std::printf("resumed %s on '%s' at t=%llu\n", engine->engine_name(),
+                descriptor.c_str(),
+                static_cast<unsigned long long>(engine->time()));
   }
   // Kept across the cycle-jump wrap so the halt check below still reaches
   // the coordinator.
@@ -661,10 +638,11 @@ int cmd_convert(int argc, char** argv) {
   // Transcode through a restored engine rather than field-by-field: the
   // engine re-serializes its canonical field set, so the output is
   // byte-identical to a checkpoint written directly in the target format.
-  auto engine = rr::sim::restore_checkpoint(*parsed);
+  std::string error;
+  auto engine = rr::sim::restore_checkpoint(*parsed, {}, &error);
   if (!engine) {
-    std::fprintf(stderr, "rr_cli: cannot restore %s (engine %s)\n",
-                 in_path.c_str(), parsed->engine.c_str());
+    std::fprintf(stderr, "rr_cli: cannot restore %s: %s\n", in_path.c_str(),
+                 error.c_str());
     return 2;
   }
   const std::string text =
@@ -710,7 +688,7 @@ int cmd_trace(Flags f) {
     // Non-ring substrates draw through the engine-generic renderer; torus
     // and grid runs lay out as 2-D blocks (one line per row).
     const std::string descriptor = topo_descriptor(f);
-    auto engine = build_engine(f, descriptor);
+    auto engine = registry_engine(f, descriptor, nullptr);
     if (!engine) return 2;
     const auto d = rr::graph::GraphDescriptor::parse(descriptor);
     rr::sim::TraceOptions opt;

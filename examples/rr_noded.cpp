@@ -3,8 +3,6 @@
 //   rr_noded --dist-fd N                 serve an inherited socketpair fd
 //                                        (how the rr_cli coordinator
 //                                        fork/execs its workers)
-//   rr_noded --connect PATH              connect to a coordinator's
-//                                        --dist-socket AF_UNIX path
 //   [--fail-after-scans N]               fault-injection: drop the
 //                                        connection at the N-th kScan
 //                                        (crash-recovery test lanes)
@@ -15,12 +13,7 @@
 // errors, 2 on usage errors or a rejected init (matching rr_cli's
 // usage-error convention).
 
-#include <sys/socket.h>
-#include <sys/un.h>
-
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/parse.hpp"
@@ -29,9 +22,7 @@
 namespace {
 
 int usage() {
-  std::fprintf(stderr,
-               "usage: rr_noded [--dist-fd N | --connect PATH]"
-               " [--fail-after-scans N]\n");
+  std::fprintf(stderr, "usage: rr_noded --dist-fd N [--fail-after-scans N]\n");
   return 2;
 }
 
@@ -39,7 +30,6 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::uint64_t dist_fd = ~std::uint64_t{0};
-  std::string connect_path;
   std::uint64_t fail_after = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -58,10 +48,6 @@ int main(int argc, char** argv) {
                                           1u << 20, dist_fd)) {
         return 2;
       }
-    } else if (a == "--connect") {
-      const char* v = next("--connect");
-      if (!v) return 2;
-      connect_path = v;
     } else if (a == "--fail-after-scans") {
       const char* v = next("--fail-after-scans");
       if (!v || !rr::parse_flag_u64("rr_noded", "--fail-after-scans", v,
@@ -73,27 +59,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const bool have_fd = dist_fd != ~std::uint64_t{0};
-  if (have_fd == !connect_path.empty()) return usage();
-
-  int fd;
-  if (have_fd) {
-    fd = static_cast<int>(dist_fd);
-  } else {
-    sockaddr_un sa{};
-    sa.sun_family = AF_UNIX;
-    if (connect_path.size() >= sizeof(sa.sun_path)) {
-      std::fprintf(stderr, "rr_noded: --connect path too long\n");
-      return 2;
-    }
-    std::memcpy(sa.sun_path, connect_path.c_str(), connect_path.size() + 1);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0 ||
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0) {
-      std::fprintf(stderr, "rr_noded: cannot connect to %s: %s\n",
-                   connect_path.c_str(), std::strerror(errno));
-      return 2;
-    }
-  }
-  return rr::dist::worker_serve(fd, fail_after);
+  if (dist_fd == ~std::uint64_t{0}) return usage();
+  return rr::dist::worker_serve(static_cast<int>(dist_fd), fail_after);
 }

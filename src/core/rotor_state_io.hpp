@@ -9,7 +9,8 @@
 // field set. This header is that field set, written once: both engines'
 // serialize_state/deserialize_state/config_hash delegate here, so a field
 // added for one engine is automatically read and written by the other
-// (drift would otherwise break restore_checkpoint_sharded silently).
+// (drift would otherwise silently break resuming a sequential checkpoint
+// with shards > 1, or the reverse).
 //
 // The helpers are templated over the per-node array types so the same
 // code serves owned std::vector state (in-RAM construction) and

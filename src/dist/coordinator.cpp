@@ -3,14 +3,12 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -93,43 +91,7 @@ bool DistributedRotorRouter::spawn(const DistOptions& options,
                                    std::string* error) {
   const std::uint32_t nw = part_.num_shards();
   conn_.resize(nw);
-  if (!options.listen_socket.empty()) {
-    sockaddr_un sa{};
-    sa.sun_family = AF_UNIX;
-    if (options.listen_socket.size() >= sizeof(sa.sun_path)) {
-      set_error(error, "dist: --dist-socket path too long");
-      return false;
-    }
-    std::memcpy(sa.sun_path, options.listen_socket.c_str(),
-                options.listen_socket.size() + 1);
-    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (lfd < 0) {
-      set_error(error, "dist: socket() failed");
-      return false;
-    }
-    ::unlink(options.listen_socket.c_str());
-    if (::bind(lfd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) != 0 ||
-        ::listen(lfd, static_cast<int>(nw)) != 0) {
-      ::close(lfd);
-      set_error(error, "dist: cannot listen on --dist-socket path");
-      return false;
-    }
-    for (std::uint32_t w = 0; w < nw; ++w) {
-      int fd;
-      do {
-        fd = ::accept(lfd, nullptr, nullptr);
-      } while (fd < 0 && errno == EINTR);
-      if (fd < 0) {
-        ::close(lfd);
-        set_error(error, "dist: accept() failed");
-        return false;
-      }
-      conn_[w].fd = fd;
-      conn_[w].alive = true;
-    }
-    ::close(lfd);
-    ::unlink(options.listen_socket.c_str());
-  } else if (!options.noded_path.empty()) {
+  if (!options.noded_path.empty()) {
     for (std::uint32_t w = 0; w < nw; ++w) {
       int sv[2];
       if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {

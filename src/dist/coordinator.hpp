@@ -79,10 +79,6 @@ struct DistOptions {
   /// worker_serve loop and wire protocol, zero-setup (tests, bench, and
   /// single-machine runs without a sibling binary).
   std::string noded_path;
-  /// Non-empty: instead of spawning anything, listen on this AF_UNIX
-  /// path and accept `workers` externally launched `rr_noded --connect`
-  /// processes. Takes precedence over noded_path.
-  std::string listen_socket;
   /// Fault-injection hook (thread transport): worker 0 drops its
   /// connection when it receives its worker_fail_after-th kScan. The CI
   /// smoke lane kills a real rr_noded process instead.

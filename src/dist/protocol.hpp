@@ -19,9 +19,9 @@
 // Decoding is total: truncated or overlong varints, element counts
 // exceeding the remaining payload (a crafted count can never force an
 // allocation beyond the frame's own size), unknown kinds, and trailing
-// bytes all yield nullopt — worker sockets are external input in
-// --dist-socket mode, and the never-abort contract of the checkpoint
-// codecs extends to this layer.
+// bytes all yield nullopt — a worker socket carries whatever the peer
+// process writes, and the never-abort contract of the checkpoint codecs
+// extends to this layer.
 
 #include <cstdint>
 #include <optional>

@@ -22,9 +22,9 @@
 // two batches is fine — totals add.
 //
 // The worker is a blocking single-threaded serve loop over one socket fd
-// (AF_UNIX socketpair from the coordinator's fork/exec or thread spawn,
-// or a connected --dist-socket stream). It exits 0 on kShutdown or a
-// closed socket, nonzero on a malformed or out-of-protocol stream.
+// (AF_UNIX socketpair from the coordinator's fork/exec or thread spawn).
+// It exits 0 on kShutdown or a closed socket, nonzero on a malformed or
+// out-of-protocol stream.
 //
 // Memory honesty: each worker rebuilds the full CSR from the descriptor
 // (the partition and frontier tables need global topology) and sizes its

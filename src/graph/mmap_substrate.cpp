@@ -162,6 +162,9 @@ bool MappedSubstrate::build(const std::string& descriptor_text,
     if (!built->is_connected()) {
       return set_error(error, "substrate must be connected");
     }
+    if (built->num_edges() == 0) {
+      return set_error(error, "substrate needs at least one edge");
+    }
     src = std::make_unique<GraphSource>(*built);
   }
 
@@ -292,7 +295,7 @@ std::shared_ptr<MappedSubstrate> MappedSubstrate::open(
   const char* desc = static_cast<const char*>(map) + sizeof(ImageHeader);
   if (h.check != header_check(h, desc, h.descriptor_len)) return reject();
   if (h.file_size != size || h.num_nodes == 0 || h.num_nodes > ~NodeId{0} ||
-      h.num_arcs > kMaxImageArcs) {
+      h.num_arcs == 0 || h.num_arcs > kMaxImageArcs) {
     return reject();
   }
   // Section bounds: page-aligned, in order, each long enough for its

@@ -45,6 +45,8 @@ std::shared_ptr<const CsrGraph> build_substrate(const GraphDescriptor& d,
   const auto g = d.build();
   if (!g) return fail("invalid graph parameters");
   if (!g->is_connected()) return fail("substrate must be connected");
+  // Every graph engine moves agents along arcs; a lone node has none.
+  if (g->num_edges() == 0) return fail("substrate needs at least one edge");
   return std::make_shared<const CsrGraph>(*g);
 }
 

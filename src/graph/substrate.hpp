@@ -35,8 +35,8 @@ namespace rr::graph {
 /// The interned substrate for `d`: a connected graph's CSR, shared with
 /// every other live holder of a substrate of the same descriptor text.
 /// nullopt, with a one-line reason in `*error` when given, on invalid or
-/// over-cap parameters or a disconnected graph — never an abort
-/// (descriptors are external input).
+/// over-cap parameters or a disconnected or edgeless graph — never an
+/// abort (descriptors are external input).
 std::optional<CsrGraph> intern_substrate(const GraphDescriptor& d,
                                          std::string* error = nullptr);
 

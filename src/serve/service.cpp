@@ -133,7 +133,11 @@ bool SessionService::evict(Session& s) {
 }
 
 bool SessionService::rehydrate(Session& s) {
-  auto engine = sim::restore_checkpoint_file(evict_path(s.id), 1, opt_.pool);
+  const auto parsed = sim::parse_checkpoint_file(evict_path(s.id), opt_.pool);
+  if (!parsed) return false;
+  sim::EngineConfig config;
+  config.pool = opt_.pool;
+  auto engine = sim::restore_checkpoint(*parsed, config);
   if (!engine) return false;
   // Re-apply the session's cycle-jump decision: eviction files hold the
   // inner engine's state, so the wrapper is reconstructed. kOn maps to
@@ -366,9 +370,12 @@ void SessionService::handle(std::uint64_t conn, const std::uint8_t* payload,
           emit(out, conn, error_reply(req->id, "malformed checkpoint"));
           return;
         }
-        auto engine = sim::restore_checkpoint_sharded(*parsed, 1, opt_.pool);
+        sim::EngineConfig config;
+        config.pool = opt_.pool;
+        std::string error;
+        auto engine = sim::restore_checkpoint(*parsed, config, &error);
         if (!engine) {
-          emit(out, conn, error_reply(req->id, "cannot restore checkpoint"));
+          emit(out, conn, error_reply(req->id, error.c_str()));
           return;
         }
         s.engine = std::move(engine);

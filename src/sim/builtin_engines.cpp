@@ -2,9 +2,10 @@
 //
 // This file is the ONLY construction site of the in-tree engines outside
 // of tests: each registration block owns the backend's CLI key, substrate
-// requirement, shard capability, and both construction paths (fresh
-// factory + checkpoint restore). Adding a backend = adding one block here
-// and passing the differential gate (README "Adding a backend").
+// requirement, shard capability, and its one factory. Checkpoint restore
+// reuses the factory (EngineRegistry::restore), so a guard written here
+// applies to both paths. Adding a backend = adding one block here and
+// passing the differential gate (README "Adding a backend").
 
 #include <string>
 #include <utility>
@@ -47,13 +48,6 @@ std::optional<std::vector<std::uint8_t>> ring_pointers(
   return out;
 }
 
-template <typename EngineT, typename... Args>
-std::unique_ptr<Engine> restored(const StateReader& state, Args&&... args) {
-  auto engine = std::make_unique<EngineT>(std::forward<Args>(args)...);
-  if (!engine->deserialize_state(state)) return nullptr;
-  return engine;
-}
-
 void register_rotor(EngineRegistry& r) {
   r.add(EngineSpec{
       .name = "rotor",
@@ -73,26 +67,14 @@ void register_rotor(EngineRegistry& r) {
           fail(error, "pointer field size must match the node count");
           return nullptr;
         }
+        // The shard count is an execution choice, not checkpoint state:
+        // the same document restores sequentially or shard-parallel.
         if (c.shards > 1) {
           return std::make_unique<core::ShardedRotorRouter>(
               std::move(*csr), agents_of(c), c.pointers, c.shards, c.pool);
         }
         return std::make_unique<core::RotorRouter>(std::move(*csr),
                                                    agents_of(c), c.pointers);
-      },
-      .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
-                    const EngineConfig& c) -> std::unique_ptr<Engine> {
-        auto csr = graph::intern_substrate(d);
-        if (!csr) return nullptr;
-        // The shard count is an execution choice, not checkpoint state:
-        // the same document restores sequentially or shard-parallel.
-        if (c.shards > 1) {
-          return restored<core::ShardedRotorRouter>(
-              state, std::move(*csr), std::vector<graph::NodeId>{0},
-              std::vector<std::uint32_t>{}, c.shards, c.pool);
-        }
-        return restored<core::RotorRouter>(state, std::move(*csr),
-                                           std::vector<graph::NodeId>{0});
       },
   });
 }
@@ -121,11 +103,6 @@ void register_ring(EngineRegistry& r) {
         return std::make_unique<core::RingRotorRouter>(n, agents_of(c),
                                                        std::move(*ptrs));
       },
-      .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
-                    const EngineConfig&) -> std::unique_ptr<Engine> {
-        return restored<core::RingRotorRouter>(state, *d.num_nodes(),
-                                               std::vector<core::NodeId>{0});
-      },
   });
 }
 
@@ -153,11 +130,6 @@ void register_lazy(EngineRegistry& r) {
         return std::make_unique<core::LazyRingRotorRouter>(n, agents_of(c),
                                                            std::move(*ptrs));
       },
-      .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
-                    const EngineConfig&) -> std::unique_ptr<Engine> {
-        return restored<core::LazyRingRotorRouter>(
-            state, *d.num_nodes(), std::vector<core::NodeId>{0});
-      },
   });
 }
 
@@ -178,13 +150,6 @@ void register_walks(EngineRegistry& r) {
         return std::make_unique<walk::GraphRandomWalks>(std::move(*csr),
                                                         agents_of(c), c.seed);
       },
-      .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
-                    const EngineConfig&) -> std::unique_ptr<Engine> {
-        auto csr = graph::intern_substrate(d);
-        if (!csr || csr->degree(0) == 0) return nullptr;  // placeholder walker
-        return restored<walk::GraphRandomWalks>(
-            state, std::move(*csr), std::vector<graph::NodeId>{0}, /*seed=*/1);
-      },
   });
 }
 
@@ -203,19 +168,8 @@ void register_eulerian(EngineRegistry& r) {
                     std::string* error) -> std::unique_ptr<Engine> {
         auto csr = graph::intern_substrate(d, error);
         if (!csr) return nullptr;
-        if (csr->num_edges() == 0) {
-          fail(error, "token circulation needs at least one edge");
-          return nullptr;
-        }
         return std::make_unique<core::EulerianRotorRouter>(std::move(*csr),
                                                            agents_of(c));
-      },
-      .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
-                    const EngineConfig&) -> std::unique_ptr<Engine> {
-        auto csr = graph::intern_substrate(d);
-        if (!csr || csr->num_edges() == 0) return nullptr;
-        return restored<core::EulerianRotorRouter>(
-            state, std::move(*csr), std::vector<graph::NodeId>{0});
       },
   });
 }
@@ -238,11 +192,6 @@ void register_ode(EngineRegistry& r) {
         return std::make_unique<analysis::ContinuousDomainEngine>(
             *d.num_nodes(), c.agents);
       },
-      .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
-                    const EngineConfig&) -> std::unique_ptr<Engine> {
-        return restored<analysis::ContinuousDomainEngine>(
-            state, *d.num_nodes(), std::vector<sim::NodeId>{0});
-      },
   });
 }
 
@@ -251,7 +200,6 @@ core::DistOptions dist_options(const EngineConfig& c) {
   o.workers = c.dist_workers;
   o.spill_batch = c.dist_spill_batch;
   o.noded_path = c.dist_noded;
-  o.listen_socket = c.dist_socket;
   return o;
 }
 
@@ -278,13 +226,6 @@ void register_dist(EngineRegistry& r) {
                     std::string* error) -> std::unique_ptr<Engine> {
         return core::DistributedRotorRouter::create(
             d, agents_of(c), c.pointers, dist_options(c), error);
-      },
-      .restore = [](const graph::GraphDescriptor& d, const StateReader& state,
-                    const EngineConfig& c) -> std::unique_ptr<Engine> {
-        auto engine = core::DistributedRotorRouter::create(
-            d, std::vector<graph::NodeId>{0}, {}, dist_options(c), nullptr);
-        if (!engine || !engine->deserialize_state(state)) return nullptr;
-        return engine;
       },
   });
 }

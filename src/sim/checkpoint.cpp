@@ -213,37 +213,24 @@ std::optional<ParsedCheckpoint> parse_checkpoint_file(const std::string& path,
   return ParsedCheckpoint{names->first, names->second, std::move(*state)};
 }
 
-std::unique_ptr<Engine> restore_checkpoint(const ParsedCheckpoint& parsed) {
-  return restore_checkpoint_sharded(parsed, /*shards=*/1);
+std::unique_ptr<Engine> restore_checkpoint(const ParsedCheckpoint& parsed,
+                                           const EngineConfig& config,
+                                           std::string* error) {
+  const auto d = graph::GraphDescriptor::parse(parsed.graph_descriptor);
+  if (!d) {
+    if (error) {
+      *error = "malformed graph descriptor '" + parsed.graph_descriptor + "'";
+    }
+    return nullptr;
+  }
+  return EngineRegistry::instance().restore(parsed.engine, *d, parsed.state,
+                                            config, error);
 }
 
 std::unique_ptr<Engine> restore_checkpoint(const std::string& text) {
   const auto parsed = parse_checkpoint(text);
   if (!parsed) return nullptr;
   return restore_checkpoint(*parsed);
-}
-
-std::unique_ptr<Engine> restore_checkpoint_sharded(
-    const ParsedCheckpoint& parsed, std::uint32_t shards, ThreadPool* pool) {
-  const auto d = graph::GraphDescriptor::parse(parsed.graph_descriptor);
-  if (!d) return nullptr;
-  // The registry resolves the backend and validates the substrate; each
-  // spec's restore hook rebuilds the engine from the state body. A shard
-  // request is passed through as an execution choice — specs that do not
-  // support sharding ignore it (callers warn; see rr_cli).
-  EngineConfig config;
-  config.shards = shards;
-  config.pool = pool;
-  return EngineRegistry::instance().restore(parsed.engine, *d, parsed.state,
-                                            config);
-}
-
-std::unique_ptr<Engine> restore_checkpoint_file(const std::string& path,
-                                                std::uint32_t shards,
-                                                ThreadPool* pool) {
-  const auto parsed = parse_checkpoint_file(path, pool);
-  if (!parsed) return nullptr;
-  return restore_checkpoint_sharded(*parsed, shards, pool);
 }
 
 bool save_checkpoint_file(const std::string& path, const std::string& text) {

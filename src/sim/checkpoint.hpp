@@ -21,12 +21,11 @@
 // The header names the engine backend (sim::Engine::engine_name) and the
 // substrate (graph/descriptor.hpp), making the document sufficient to
 // reconstruct the run with no out-of-band knowledge: restore_checkpoint
-// resolves the backend through sim::EngineRegistry (sim/registry.hpp),
-// which validates the substrate and invokes the spec's restore hook —
-// intern the descriptor's substrate (graph/substrate.hpp; shared with any
-// live engine on the same graph), instantiate the engine, hand the body
-// to its StateIO::deserialize_state. This layer knows no backend by
-// name.
+// hands both to sim::EngineRegistry::restore (sim/registry.hpp), which
+// builds the engine through the backend's one factory — interning the
+// descriptor's substrate (graph/substrate.hpp; shared with any live
+// engine on the same graph) — and writes the body into it with
+// StateIO::deserialize_state. This layer knows no backend by name.
 //
 // Correctness contract (enforced by the differential harness's
 // save→load→continue lane, which alternates formats): for every backend,
@@ -46,6 +45,7 @@
 #include <string>
 
 #include "sim/engine.hpp"
+#include "sim/registry.hpp"
 #include "sim/state_io.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -95,29 +95,19 @@ std::optional<ParsedCheckpoint> parse_checkpoint(const std::string& text,
 std::optional<ParsedCheckpoint> parse_checkpoint_file(
     const std::string& path, ThreadPool* pool = nullptr);
 
-/// Interns the substrate, instantiates the named backend, and restores
-/// the state. nullptr on malformed input, unknown engine, or a state body
-/// inconsistent with the substrate.
+/// Restores an already-parsed document through EngineRegistry::restore.
+/// `config` carries execution choices that are not checkpoint state: a
+/// shard count (> 1 restores "rotor-router" documents into the
+/// shard-parallel core::ShardedRotorRouter; engines without shard support
+/// ignore it), the pool, dist worker options. nullptr on unknown engine,
+/// substrate mismatch, or a state body inconsistent with the substrate,
+/// with the cause in `*error` when provided.
+std::unique_ptr<Engine> restore_checkpoint(const ParsedCheckpoint& parsed,
+                                           const EngineConfig& config = {},
+                                           std::string* error = nullptr);
+
+/// Parse + restore of an in-memory document with the default config.
 std::unique_ptr<Engine> restore_checkpoint(const std::string& text);
-
-/// Same, from an already-parsed document (callers that also need the
-/// header fields parse once and restore from the result).
-std::unique_ptr<Engine> restore_checkpoint(const ParsedCheckpoint& parsed);
-
-/// As restore_checkpoint, but "rotor-router" checkpoints restore into a
-/// shard-parallel core::ShardedRotorRouter stepping `shards` shards on
-/// `pool` (checkpoints are interchangeable between the sequential and
-/// sharded engines: the shard count is an execution choice, not state).
-/// Other engines restore exactly as restore_checkpoint. shards <= 1
-/// restores the sequential engine.
-std::unique_ptr<Engine> restore_checkpoint_sharded(
-    const ParsedCheckpoint& parsed, std::uint32_t shards,
-    ThreadPool* pool = nullptr);
-
-/// Streaming parse + sharded restore in one call.
-std::unique_ptr<Engine> restore_checkpoint_file(const std::string& path,
-                                                std::uint32_t shards = 1,
-                                                ThreadPool* pool = nullptr);
 
 /// File convenience wrappers (whole-buffer write / read).
 bool save_checkpoint_file(const std::string& path, const std::string& text);

@@ -19,8 +19,7 @@ EngineRegistry& EngineRegistry::instance() {
 }
 
 bool EngineRegistry::add(EngineSpec spec) {
-  if (spec.name.empty() || spec.engine_name.empty() || !spec.factory ||
-      !spec.restore) {
+  if (spec.name.empty() || spec.engine_name.empty() || !spec.factory) {
     return false;
   }
   for (const EngineSpec& existing : specs_) {
@@ -71,8 +70,8 @@ void set_error(std::string* error, std::string message) {
   if (error) *error = std::move(message);
 }
 
-/// Shared create/restore preamble: name lookup + substrate check + agent
-/// range check (factories still validate backend-specific config).
+/// create() preamble: name lookup + substrate check + node count
+/// (factories still validate backend-specific config).
 const EngineSpec* resolve(const EngineRegistry& registry,
                           std::string_view name,
                           const graph::GraphDescriptor& descriptor,
@@ -140,12 +139,18 @@ std::unique_ptr<Engine> EngineRegistry::restore(
     std::string_view engine_name, const graph::GraphDescriptor& descriptor,
     const StateReader& state, const EngineConfig& config,
     std::string* error) const {
-  const EngineSpec* spec = resolve(*this, engine_name, descriptor, error);
-  if (!spec) return nullptr;
-  auto engine = spec->restore(descriptor, state, config);
-  if (!engine) {
-    set_error(error, "state body inconsistent with engine '" + spec->name +
-                         "' on '" + descriptor.text() + "'");
+  // The state body overwrites every per-node field, so the factory's
+  // starting configuration only has to be valid: one agent on node 0.
+  EngineConfig placeholder = config;
+  placeholder.agents = {0};
+  placeholder.pointers.clear();
+  auto engine = create(engine_name, descriptor, placeholder, error);
+  if (!engine) return nullptr;
+  auto* io = dynamic_cast<StateIO*>(engine.get());
+  if (io == nullptr || !io->deserialize_state(state)) {
+    set_error(error, "state body inconsistent with engine '" +
+                         std::string(engine_name) + "' on '" +
+                         descriptor.text() + "'");
     return nullptr;
   }
   return engine;

@@ -6,14 +6,11 @@
 // the discrete rotor walk, the Eulerian token circulation it locks into,
 // and the continuous domain-size ODE of Sec. 2.3 — and the repository
 // keeps one sim::Engine backend per view (plus the ring specializations
-// and the random-walk baseline). Before this registry existed, every
-// construction site (rr_cli, sim::restore_checkpoint, the differential
-// harness, the engine-sweep benches) grew its own if/else ladder over
-// engine names, and the ladders diverged (restore_checkpoint_sharded).
-//
-// EngineRegistry replaces the ladders with one name-keyed table of
-// EngineSpec entries. A spec owns everything a driver needs to know about
-// a backend without including its header:
+// and the random-walk baseline). EngineRegistry is one name-keyed table
+// of EngineSpec entries, so no driver (rr_cli, the checkpoint layer, the
+// session service, the differential harness, the engine-sweep benches)
+// carries an if/else ladder over engine names. A spec owns everything a
+// driver needs to know about a backend without including its header:
 //
 //   - `name` (CLI key, e.g. "lazy") and `engine_name` (the checkpoint
 //     header key, sim::Engine::engine_name(), e.g.
@@ -22,9 +19,15 @@
 //     any connected graph) — checked before any factory runs, so a
 //     mismatch fails cleanly instead of aborting inside a constructor;
 //   - whether it supports shard-parallel stepping (--shards);
-//   - a `factory` building a fresh engine from a graph descriptor and an
-//     EngineConfig, and a `restore` hook rebuilding one from a
-//     checkpoint's state body (sim/checkpoint.hpp calls it).
+//   - a `factory` building an engine from a graph descriptor and an
+//     EngineConfig.
+//
+// A spec has no second, restore-only constructor. A checkpoint is a
+// configuration (graph, pointers, agents; paper Sec. 1.3), so restore()
+// runs the same factory on a placeholder agent and then writes the
+// checkpoint's state body into the engine through
+// StateIO::deserialize_state, which overwrites every per-node field.
+// Create and restore therefore accept and reject the same substrates.
 //
 // Adding a backend is one registration block in sim/builtin_engines.cpp
 // plus the differential gate in tests/ — no driver changes: rr_cli's
@@ -77,9 +80,6 @@ struct EngineConfig {
   /// rr_noded binary to fork/exec per "dist" worker; empty = in-process
   /// worker threads over socketpairs (same loop, same protocol).
   std::string dist_noded;
-  /// Non-empty: "dist" listens on this AF_UNIX path and accepts
-  /// externally launched `rr_noded --connect` workers instead.
-  std::string dist_socket;
 };
 
 struct EngineSpec {
@@ -109,21 +109,15 @@ struct EngineSpec {
   /// soundness contract. Meaningful only when `deterministic`.
   std::vector<std::string> cycle_accumulators;
 
-  /// Builds a fresh engine. The descriptor has already passed the
-  /// substrate check; the factory returns nullptr (optionally setting
-  /// `error`) on config problems (bad agents, malformed pointers).
+  /// Builds an engine. The descriptor has already passed the substrate
+  /// check and the agents the range check; the factory returns nullptr
+  /// (optionally setting `error`) on anything else it cannot run (bad
+  /// pointers, a substrate the backend cannot step), never aborting.
+  /// The engine must implement StateIO: restore() reuses this factory.
   std::function<std::unique_ptr<Engine>(const graph::GraphDescriptor& d,
                                         const EngineConfig& config,
                                         std::string* error)>
       factory;
-
-  /// Rebuilds an engine from a checkpoint state body written by the
-  /// backend's serialize_state. nullptr on any malformed/inconsistent
-  /// state (never abort: checkpoints are external input).
-  std::function<std::unique_ptr<Engine>(const graph::GraphDescriptor& d,
-                                        const StateReader& state,
-                                        const EngineConfig& config)>
-      restore;
 };
 
 class EngineRegistry {
@@ -168,11 +162,13 @@ class EngineRegistry {
                                  const EngineConfig& config,
                                  std::string* error = nullptr) const;
 
-  /// The restore path (sim/checkpoint.hpp): resolves `engine_name`,
-  /// validates the substrate, and invokes the spec's restore hook.
-  /// `config` carries execution choices that are not checkpoint state
-  /// (shard count, pool). nullptr on unknown engine, substrate mismatch,
-  /// or a state body the hook rejects.
+  /// The restore path (sim/checkpoint.hpp): create() with `config` on a
+  /// placeholder agent {0} and no pointer field, then
+  /// StateIO::deserialize_state(state). `config` carries execution
+  /// choices that are not checkpoint state (shard count, pool, dist
+  /// workers). nullptr on unknown engine, substrate mismatch, a factory
+  /// rejection, or a state body the engine rejects, with the cause in
+  /// `*error`.
   std::unique_ptr<Engine> restore(std::string_view engine_name,
                                   const graph::GraphDescriptor& descriptor,
                                   const StateReader& state,

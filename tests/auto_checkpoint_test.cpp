@@ -221,7 +221,9 @@ TEST(AutoCheckpoint, SinkSurvivesWriteFaultsAndRecovers) {
   EXPECT_EQ(read_text_file(path), good);  // t=10 state survives the faults
 
   rr.run(10);  // fire at t=40 succeeds again
-  auto restored = restore_checkpoint_file(path);
+  const auto parsed = parse_checkpoint_file(path);
+  ASSERT_TRUE(parsed.has_value());
+  auto restored = restore_checkpoint(*parsed);
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->time(), 40u);
   EXPECT_EQ(restored->config_hash(), rr.config_hash());

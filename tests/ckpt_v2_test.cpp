@@ -459,7 +459,9 @@ TEST(CkptV2, StreamingFileParseMatchesInMemory) {
         rr::testing::unique_temp_path("rr_ckpt_v2_stream.ckpt");
     ASSERT_TRUE(save_checkpoint_file(path, text));
 
-    auto restored = restore_checkpoint_file(path);
+    const auto parsed = parse_checkpoint_file(path);
+    ASSERT_TRUE(parsed.has_value());
+    auto restored = restore_checkpoint(*parsed);
     ASSERT_TRUE(restored != nullptr);
     expect_lockstep(engine, *restored, 60);
     std::remove(path.c_str());
@@ -503,8 +505,8 @@ TEST(CkptV2, PoolParallelLoadIsBitIdenticalToSequential) {
 }
 
 TEST(CkptV2, PooledFileRestoreMatchesSequential) {
-  // The streaming path: restore_checkpoint_file with a pool batches
-  // frame reads and decodes them in parallel; same engine either way.
+  // The streaming path: parse_checkpoint_file with a pool batches frame
+  // reads and decodes them in parallel; same engine either way.
   graph::Graph ring = graph::ring(4096);
   core::RotorRouter engine(ring, {0, 1000, 3000});
   engine.run(517);
@@ -514,8 +516,11 @@ TEST(CkptV2, PooledFileRestoreMatchesSequential) {
       rr::testing::unique_temp_path("rr_ckpt_v2_pooled.ckpt");
   ASSERT_TRUE(save_checkpoint_file(path, text));
   ThreadPool pool(3);
-  auto seq = restore_checkpoint_file(path);
-  auto par = restore_checkpoint_file(path, /*shards=*/1, &pool);
+  const auto seq_parsed = parse_checkpoint_file(path);
+  const auto par_parsed = parse_checkpoint_file(path, &pool);
+  ASSERT_TRUE(seq_parsed.has_value() && par_parsed.has_value());
+  auto seq = restore_checkpoint(*seq_parsed);
+  auto par = restore_checkpoint(*par_parsed);
   ASSERT_TRUE(seq != nullptr && par != nullptr);
   EXPECT_EQ(seq->config_hash(), engine.config_hash());
   EXPECT_EQ(par->config_hash(), engine.config_hash());

@@ -1,8 +1,8 @@
 // Dist wire protocol: the one DistMsg codec every coordinator/worker
 // message shares must be total over hostile byte streams — the same
 // discipline (and fuzz shapes) as the rr_serverd lane in
-// serve_protocol_test.cpp, because --dist-socket mode reads sockets that
-// any process may connect to. A malformed stream drops a worker, never
+// serve_protocol_test.cpp, because a worker socket carries whatever the
+// peer process writes. A malformed stream drops a worker, never
 // aborts the coordinator or balloons memory.
 
 #include <gtest/gtest.h>

@@ -100,7 +100,7 @@ TEST(MmapSubstrate, BuiltKindsGoThroughGraphDescriptor) {
 TEST(MmapSubstrate, RejectsMalformedDescriptors) {
   const std::string path = tmp_path("rr_image_bad.rrg");
   for (const char* d : {"", "ring", "ring 2", "ring x", "torus 2 8",
-                        "moebius 8", "clique 200000"}) {
+                        "moebius 8", "clique 200000", "tree 1"}) {
     SCOPED_TRACE(d);
     std::string error;
     EXPECT_FALSE(MappedSubstrate::build(d, path, &error));

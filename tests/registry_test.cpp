@@ -10,6 +10,7 @@
 #include <set>
 #include <string>
 
+#include "core/ring_rotor_router.hpp"
 #include "core/sharded_rotor_router.hpp"
 #include "sim/checkpoint.hpp"
 
@@ -79,10 +80,6 @@ TEST(EngineRegistry, DuplicateRegistrationIsRejected) {
   spec.engine_name = "toy-engine";
   spec.factory = [](const graph::GraphDescriptor&, const EngineConfig&,
                     std::string*) -> std::unique_ptr<Engine> {
-    return nullptr;
-  };
-  spec.restore = [](const graph::GraphDescriptor&, const StateReader&,
-                    const EngineConfig&) -> std::unique_ptr<Engine> {
     return nullptr;
   };
   EXPECT_TRUE(r.add(spec));
@@ -205,6 +202,104 @@ TEST(EngineRegistry, RestoreResolvesByEngineName) {
   EXPECT_EQ(restored->time(), 37u);
   EXPECT_EQ(restored->config_hash(), engine->config_hash());
 }
+
+TEST(EngineRegistry, RestoreIsFactoryPlusStateBody) {
+  // A spec carries one factory and no restore hook: restore() runs that
+  // factory on a placeholder agent with the caller's execution config,
+  // then writes the state body into the engine.
+  EngineRegistry r;
+  int calls = 0;
+  EngineConfig seen;
+  EngineSpec spec;
+  spec.name = "toy";
+  spec.engine_name = "toy-engine";
+  spec.substrate_kinds = {"ring"};
+  spec.factory = [&](const graph::GraphDescriptor& d, const EngineConfig& c,
+                     std::string*) -> std::unique_ptr<Engine> {
+    ++calls;
+    seen = c;
+    return std::make_unique<core::RingRotorRouter>(*d.num_nodes(), c.agents);
+  };
+  ASSERT_TRUE(r.add(spec));
+
+  core::RingRotorRouter original(16, {0, 5, 11});
+  original.run(29);
+  const auto parsed = parse_checkpoint(write_checkpoint(original, "ring 16"));
+  ASSERT_TRUE(parsed.has_value());
+  EngineConfig config;
+  config.agents = {3, 4};  // ignored: the state body decides the agents
+  config.pointers.assign(16, 1);
+  config.seed = 7;
+  std::string error;
+  auto restored = r.restore("toy", *graph::GraphDescriptor::parse("ring 16"),
+                            parsed->state, config, &error);
+  ASSERT_NE(restored, nullptr) << error;
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seen.agents, std::vector<NodeId>{0});
+  EXPECT_TRUE(seen.pointers.empty());
+  EXPECT_EQ(seen.seed, 7u);
+  EXPECT_EQ(restored->time(), 29u);
+  EXPECT_EQ(restored->config_hash(), original.config_hash());
+
+  // The factory's substrate check guards restore too.
+  EXPECT_EQ(r.restore("toy", *graph::GraphDescriptor::parse("torus 4 4"),
+                      parsed->state, config, &error),
+            nullptr);
+  EXPECT_NE(error.find("needs"), std::string::npos) << error;
+  EXPECT_EQ(calls, 1);
+}
+
+// Every built-in backend: create, write v2, restore through the registry,
+// re-serialize byte-identically.
+class BuiltinRestore : public ::testing::TestWithParam<std::string> {};
+
+std::vector<std::string> builtin_names() {
+  std::vector<std::string> names;
+  for (const auto* spec : EngineRegistry::instance().list()) {
+    names.push_back(spec->name);
+  }
+  return names;
+}
+
+TEST_P(BuiltinRestore, V2RoundTripIsByteIdentical) {
+  const auto& r = EngineRegistry::instance();
+  const EngineSpec* spec = r.find(GetParam());
+  ASSERT_NE(spec, nullptr);
+  const std::string descriptor =
+      spec->substrate_kinds.empty() ? "torus 6 6" : "ring 24";
+  const auto d = graph::GraphDescriptor::parse(descriptor);
+  EngineConfig config;
+  config.agents = {0, 3, 3, 17};
+  config.seed = 11;
+  config.dist_workers = 2;  // "dist": in-process worker threads
+  std::string error;
+  auto engine = r.create(spec->name, *d, config, &error);
+  ASSERT_NE(engine, nullptr) << error;
+  engine->run(41);
+  const std::string text =
+      write_checkpoint(*engine, descriptor, CkptFormat::kV2);
+  const auto parsed = parse_checkpoint(text);
+  ASSERT_TRUE(parsed.has_value());
+
+  std::vector<std::uint32_t> shard_counts{1};
+  if (spec->supports_shards) shard_counts.push_back(4);
+  for (const std::uint32_t shards : shard_counts) {
+    SCOPED_TRACE(shards);
+    EngineConfig exec;
+    exec.shards = shards;
+    auto restored = r.restore(spec->name, *d, parsed->state, exec, &error);
+    ASSERT_NE(restored, nullptr) << error;
+    if (shards > 1) {
+      EXPECT_NE(dynamic_cast<core::ShardedRotorRouter*>(restored.get()),
+                nullptr);
+    }
+    EXPECT_EQ(write_checkpoint(*restored, descriptor, CkptFormat::kV2), text);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EngineRegistry, BuiltinRestore,
+                         ::testing::ValuesIn(builtin_names()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace rr::sim

@@ -268,6 +268,13 @@ TEST(ServeService, ResumeRoundTripsASnapshot) {
   bad.op = Op::kResume;
   bad.blob = "not a checkpoint";
   EXPECT_EQ(drv.call(bad).status, Status::kError);
+
+  // A well-formed document that cannot restore names its cause.
+  bad.blob = "rr-ckpt v1 engine=warp-drive graph=ring 16\nend\n";
+  const Reply& unknown = drv.call(bad);
+  EXPECT_EQ(unknown.status, Status::kError);
+  EXPECT_NE(unknown.message.find("unknown engine"), std::string::npos)
+      << unknown.message;
 }
 
 TEST(ServeService, AdmissionBusyAndPipelinedStepsCoalesce) {

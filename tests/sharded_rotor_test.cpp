@@ -177,7 +177,9 @@ TEST(ShardedRotor, CheckpointRestartAcrossShardCounts) {
           const auto parsed = sim::parse_checkpoint(text);
           ASSERT_TRUE(parsed.has_value());
           EXPECT_EQ(parsed->engine, "rotor-router");
-          candidate = sim::restore_checkpoint_sharded(*parsed, shards_after);
+          sim::EngineConfig config;
+          config.shards = shards_after;
+          candidate = sim::restore_checkpoint(*parsed, config);
           ASSERT_NE(candidate, nullptr);
           if (shards_after > 1) {
             auto* sharded =
@@ -208,7 +210,9 @@ TEST(ShardedRotor, SequentialCheckpointRestoresIntoShardedEngine) {
   const std::string text = sim::write_checkpoint(sequential, descriptor.text());
   const auto parsed = sim::parse_checkpoint(text);
   ASSERT_TRUE(parsed.has_value());
-  auto sharded = sim::restore_checkpoint_sharded(*parsed, 5);
+  sim::EngineConfig config;
+  config.shards = 5;
+  auto sharded = sim::restore_checkpoint(*parsed, config);
   ASSERT_NE(sharded, nullptr);
   {
     const Mismatch m = compare_engines(sequential, *sharded);

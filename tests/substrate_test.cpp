@@ -136,9 +136,10 @@ TEST(Substrate, BuiltKindsMatchTheirGraph) {
 
 TEST(Substrate, InvalidDescriptorsFailWithoutAbort) {
   // Grammatical descriptors whose parameters are invalid or over the
-  // in-memory build cap.
+  // in-memory build cap, or whose graph is a lone node with no arc.
   for (const char* text : {"ring 2", "torus 2 9", "torus 65536 65536",
-                           "random-regular 9 3 1", "erdos-renyi 64 0.01 3"}) {
+                           "random-regular 9 3 1", "erdos-renyi 64 0.01 3",
+                           "tree 1"}) {
     SCOPED_TRACE(text);
     const auto d = GraphDescriptor::parse(text);
     ASSERT_TRUE(d.has_value());
