@@ -270,6 +270,7 @@ int cmd_serve(const Flags& f) {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGPIPE, SIG_IGN);
 
+  rr::serve::pin_mmap_threshold();
   rr::sim::ThreadPool pool(static_cast<unsigned>(f.threads));
   rr::serve::ServiceOptions opt;
   opt.max_sessions = f.max_sessions;

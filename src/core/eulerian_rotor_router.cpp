@@ -263,7 +263,7 @@ EulerianLockIn eulerian_from_lock_in(const graph::Graph& g, NodeId start,
   std::vector<Arc> circuit;
   circuit.reserve(lap);
   for (std::uint64_t i = 0; i < lap; ++i) {
-    const NodeId pos = out.rotor->occupied_nodes().front();
+    const NodeId pos = out.rotor->agent_positions().front();
     circuit.push_back(Arc{pos, out.rotor->pointer(pos)});
     out.rotor->step();
   }

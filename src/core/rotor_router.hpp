@@ -25,8 +25,36 @@
 //
 // Delayed deployments (Sec. 2.1) are supported by `step_delayed`, which
 // holds D(v,t) agents at v for the round.
+//
+// Sharded stepping. With `shards` > 1 the CSR row space is split by a
+// graph::Partition and a round is two phases on a thread pool:
+//
+//   scan:  every shard walks its own occupied nodes, distributes the
+//          exits, and writes arrivals either directly into the
+//          destination's NodeState (in-shard) or into its per-shard spill
+//          buffer indexed by the partition's frontier slots (out-of-shard).
+//          All writes land in rows the shard owns or in its private spill,
+//          so the phase is race-free by layout.
+//
+//   merge: every shard commits the arrivals for its own rows — first its
+//          in-shard touched list, then the spill slots destined for it
+//          from every source shard in ascending source order. The commit
+//          order is a pure function of the configuration, never of thread
+//          scheduling.
+//
+// Bit-equality across shard counts holds by construction: a round-t exit
+// depends only on the (t-1)-state of its own node, arrivals are additive,
+// and per-round bookkeeping depends only on per-node arrival totals, so
+// config_hash matches round for round (enforced by the differential gate in
+// tests/sharded_rotor_test.cpp). One shard runs the same scan and commit
+// instantiated without the spill and merge steps. The shard count is an
+// execution detail, not dynamical state: checkpoints are identical for
+// every shard count and restore under any other. Delay schedules are
+// evaluated shard-parallel, so they must be pure functions of
+// (node, round, present), which the differential harness already requires.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/require.hpp"
@@ -38,6 +66,7 @@
 #include "sim/cycle_jump.hpp"
 #include "sim/engine.hpp"
 #include "sim/state_io.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace rr::core {
 
@@ -54,23 +83,30 @@ class RotorRouter final : public sim::Engine,
   /// `csr`: a connected graph's adjacency (e.g. graph::intern_substrate;
   /// copies of a view share its arrays). `agents`: multiset of starting
   /// nodes (k = agents.size()). `pointers`: initial pi_v per node; empty
-  /// means all ports 0.
+  /// means all ports 0. `shards` is clamped to [1, num_nodes]; above 1 the
+  /// rounds run shard-parallel on `pool`, which may be shared (e.g.
+  /// sim::Runner::pool(); stepping from inside a pool job then runs the
+  /// shards inline). With pool == nullptr a multi-shard engine owns a pool
+  /// of min(shards, hardware) threads.
   RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
-              std::vector<std::uint32_t> pointers = {});
+              std::vector<std::uint32_t> pointers = {},
+              std::uint32_t shards = 1, sim::ThreadPool* pool = nullptr);
 
   /// As above over a snapshot of `g`, which must be connected; later
   /// mutation of `g` does not affect this engine.
   RotorRouter(const Graph& g, const std::vector<NodeId>& agents,
-              std::vector<std::uint32_t> pointers = {});
+              std::vector<std::uint32_t> pointers = {},
+              std::uint32_t shards = 1, sim::ThreadPool* pool = nullptr);
 
-  /// Out-of-core construction over an opened `rr-graph v1` image: the CSR
-  /// adjacency, NodeState and VisitStats arrays are views into the
-  /// substrate's private mapping (degree/row_begin and the never-visited
-  /// sentinel come precomputed from the image), so construction faults in
-  /// O(agents) pages instead of touching every node. The mapping is
-  /// MAP_PRIVATE: this engine's mutations never reach the image file, and
-  /// each open() gives a fresh initial state. The substrate handle is
-  /// retained via the views, so callers may drop their shared_ptr.
+  /// Out-of-core construction over an opened `rr-graph v1` image (one
+  /// shard): the CSR adjacency, NodeState and VisitStats arrays are views
+  /// into the substrate's private mapping (degree/row_begin and the
+  /// never-visited sentinel come precomputed from the image), so
+  /// construction faults in O(agents) pages instead of touching every
+  /// node. The mapping is MAP_PRIVATE: this engine's mutations never reach
+  /// the image file, and each open() gives a fresh initial state. The
+  /// substrate handle is retained via the views, so callers may drop
+  /// their shared_ptr.
   RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrate,
               const std::vector<NodeId>& agents,
               std::vector<std::uint32_t> pointers = {});
@@ -87,43 +123,35 @@ class RotorRouter final : public sim::Engine,
   void step_delayed(DelayFn&& delay) {
     pristine_ = false;
     ++time_;
-    const NodeId* arcs = csr_.arcs();
-    const std::size_t occupied_before = occupied_.size();
-    for (std::size_t idx = 0; idx < occupied_before; ++idx) {
-      if (idx + 4 < occupied_before) prefetch_ro(&node_[occupied_[idx + 4]]);
-      const NodeId v = occupied_[idx];
-      graph::NodeState& ns = node_[v];
-      const std::uint32_t present = ns.count;
-      if (present == 0) continue;  // stale entry; skipped and dropped below
-      std::uint32_t held = delay(v, time_, present);
-      if (held > present) held = present;
-      const std::uint32_t moving = present - held;
-      if (moving == 0) continue;
-      RR_ASSERT(ns.degree > 0, "agent stranded on isolated node");
-      ns.pointer = distribute_exits(
-          arcs + ns.row_begin, ns.degree, ns.pointer, moving,
-          [&](std::uint32_t, NodeId u, std::uint32_t c) {
-            graph::NodeState& nu = node_[u];
-            if (nu.arrivals == 0) touched_.push_back(u);
-            nu.arrivals += c;
-          });
-      stats_[v].exits += moving;
-      ns.count = held;
+    if (shards_.size() == 1) {
+      scan_shard<true>(0, delay);
+      commit_shard<true>(0);
+    } else {
+      const auto n = static_cast<std::uint64_t>(shards_.size());
+      pool_->for_each(n, [&](std::uint64_t s) {
+        scan_shard<false>(static_cast<std::uint32_t>(s), delay);
+      }, /*chunk=*/1);
+      pool_->for_each(n, [&](std::uint64_t s) {
+        commit_shard<false>(static_cast<std::uint32_t>(s));
+      }, /*chunk=*/1);
     }
-    commit_arrivals();
+    for (Shard& sh : shards_) {
+      covered_ += sh.newly_covered;
+      sh.newly_covered = 0;
+    }
   }
 
   std::uint64_t time() const override { return time_; }
   const CsrGraph& graph() const { return csr_; }
   NodeId num_nodes() const override { return csr_.num_nodes(); }
   std::uint32_t num_agents() const override { return num_agents_; }
+  std::uint32_t num_shards() const { return part_.num_shards(); }
 
   std::uint32_t agents_at(NodeId v) const { return node_[v].count; }
   std::uint32_t pointer(NodeId v) const { return node_[v].pointer; }
-  const std::vector<NodeId>& occupied_nodes() const { return occupied_; }
-  /// Number of occupied-list entries; commit_arrivals keeps this equal to
-  /// the number of nodes hosting at least one agent (no stale growth).
-  std::size_t occupied_count() const { return occupied_.size(); }
+  /// Number of nodes hosting at least one agent: the commit keeps every
+  /// shard's occupied list free of stale entries.
+  std::size_t occupied_count() const;
 
   /// n_v(t): total visits to v in rounds [1,t] plus agents placed at v
   /// initially (paper's n_v(0) convention).
@@ -168,18 +196,90 @@ class RotorRouter final : public sim::Engine,
   [[nodiscard]] bool deserialize_state(const sim::StateReader& in) override;
 
   /// Confirmed-cycle fast leap (sim::CycleLeapable): time and the stats
-  /// counters advance by per-cycle deltas, node state untouched.
+  /// counters advance by per-cycle deltas in one pass over the delta runs,
+  /// node state untouched — no serialize/reparse round trip.
   [[nodiscard]] bool apply_cycle_leap(
       const std::vector<sim::AccumulatorDelta>& deltas,
       std::uint64_t cycles) override;
 
  private:
+  // Per-shard working state. Padded to a cache line so the occasional
+  // cross-shard metadata write (vector size bumps, newly_covered) never
+  // false-shares with a neighbor shard's.
+  struct alignas(64) Shard {
+    std::vector<NodeId> occupied;      // owned rows with count > 0 (unique)
+    std::vector<NodeId> touched;       // owned rows with arrivals > 0
+    std::vector<std::uint32_t> spill;  // per frontier slot, this round
+    // Touched spill slots bucketed by destination shard, so the merge
+    // reads exactly its own entries from each source instead of
+    // filtering every source's full list.
+    std::vector<std::vector<std::uint32_t>> spill_touched;
+    NodeId newly_covered = 0;
+  };
+
   void do_step_delayed(const sim::DelayFn& delay) override {
     step_delayed(delay);
   }
-  void commit_arrivals();
+
+  template <bool SingleShard, typename DelayFn>
+  void scan_shard(std::uint32_t s, DelayFn&& delay) {
+    Shard& sh = shards_[s];
+    if constexpr (!SingleShard) {
+      // Slots were zeroed by last round's commits; only the bucket lists
+      // need resetting before this round's deposits.
+      for (auto& bucket : sh.spill_touched) bucket.clear();
+    }
+    const NodeId* arcs = csr_.arcs();
+    const std::size_t occupied_before = sh.occupied.size();
+    for (std::size_t idx = 0; idx < occupied_before; ++idx) {
+      if (idx + 4 < occupied_before) prefetch_ro(&node_[sh.occupied[idx + 4]]);
+      const NodeId v = sh.occupied[idx];
+      graph::NodeState& ns = node_[v];
+      const std::uint32_t present = ns.count;
+      if (present == 0) continue;  // stale entry; dropped at commit
+      std::uint32_t held = delay(v, time_, present);
+      if (held > present) held = present;
+      const std::uint32_t moving = present - held;
+      if (moving == 0) continue;
+      RR_ASSERT(ns.degree > 0, "agent stranded on isolated node");
+      ns.pointer = distribute_exits(
+          arcs + ns.row_begin, ns.degree, ns.pointer, moving,
+          [&](std::uint32_t p, NodeId u, std::uint32_t c) {
+            // Arc classification is a precomputed table lookup
+            // (Partition::arc_slot), so cross-shard arrivals cost the
+            // same O(1) as in-shard ones.
+            const std::uint32_t slot =
+                SingleShard ? graph::Partition::kInShard
+                            : part_.arc_slot(ns.row_begin + p);
+            if (slot == graph::Partition::kInShard) {
+              graph::NodeState& nu = node_[u];
+              if (nu.arrivals == 0) sh.touched.push_back(u);
+              nu.arrivals += c;
+            } else {
+              if (sh.spill[slot] == 0) {
+                sh.spill_touched[part_.frontier_owner(s, slot)].push_back(slot);
+              }
+              sh.spill[slot] += c;
+            }
+          });
+      stats_[v].exits += moving;
+      ns.count = held;
+    }
+  }
+
+  /// Applies the optional initial pointer field and places the agent
+  /// multiset (counts, the paper's n_v(0) visits, initial coverage).
+  /// Expects degree/row_begin cached and the never-visited sentinel in
+  /// stats_; touches only the agent nodes (plus every node when a pointer
+  /// field is given), so an image-backed engine faults in O(agents) pages.
+  void place_agents(const std::vector<NodeId>& agents,
+                    const std::vector<std::uint32_t>& pointers);
+  template <bool SingleShard>
+  void commit_shard(std::uint32_t d);
+  void commit_arrival(Shard& sh, NodeId u, std::uint32_t a);
 
   CsrGraph csr_;
+  graph::Partition part_;
   std::uint32_t num_agents_;
   std::uint64_t time_ = 0;
   NodeId covered_ = 0;
@@ -194,9 +294,11 @@ class RotorRouter final : public sim::Engine,
   // for image construction — same indexing either way.
   graph::MappedArray<graph::NodeState> node_;  // packed per-node hot state
   std::vector<std::uint32_t> initial_pointers_;
-  std::vector<NodeId> occupied_;  // nodes with node_[v].count > 0 (unique)
-  std::vector<NodeId> touched_;   // nodes with node_[v].arrivals > 0
   graph::MappedArray<VisitStats> stats_;  // packed visits/exits/first/last
+  std::vector<Shard> shards_;
+
+  std::unique_ptr<sim::ThreadPool> owned_pool_;  // when none was shared
+  sim::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace rr::core

@@ -1,21 +1,22 @@
 #pragma once
 
-// Shared StateIO codec of the two general-graph rotor-router engines.
+// The rotor-router checkpoint field set, written once.
 //
-// core::RotorRouter and core::ShardedRotorRouter are the same dynamical
-// system over the same packed state (graph::NodeState + core::VisitStats),
-// and their checkpoints are documented as interchangeable — both report
-// engine_name() "rotor-router" and must serialize the byte-identical
-// field set. This header is that field set, written once: both engines'
-// serialize_state/deserialize_state/config_hash delegate here, so a field
-// added for one engine is automatically read and written by the other
-// (drift would otherwise silently break resuming a sequential checkpoint
-// with shards > 1, or the reverse).
+// core::RotorRouter (at every shard count) and the distributed
+// coordinator (core::DistributedRotorRouter, which gathers its workers'
+// rows) are the same dynamical system over the same packed state
+// (graph::NodeState + core::VisitStats), and their checkpoints are
+// interchangeable — both report engine_name() "rotor-router" and must
+// serialize the byte-identical field set. Both delegate their
+// serialize_state/deserialize_state here, so a field added for one is
+// automatically read and written by the other (drift would otherwise
+// silently break resuming a distributed checkpoint in-process, or the
+// reverse).
 //
 // The helpers are templated over the per-node array types so the same
-// code serves owned std::vector state (in-RAM construction) and
-// graph::MappedArray views into an mmap'd substrate image
-// (graph/mmap_substrate.hpp); both expose size() and operator[].
+// code serves owned std::vector state and graph::MappedArray views into
+// an mmap'd substrate image (graph/mmap_substrate.hpp); both expose
+// size() and operator[].
 
 #include <algorithm>
 #include <cstdint>
@@ -23,138 +24,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.hpp"
-#include "common/require.hpp"
 #include "core/shard_step.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/partition.hpp"
-#include "sim/cycle_jump.hpp"
 #include "sim/state_io.hpp"
 
 namespace rr::core {
-
-/// CycleLeapable fast hook shared by both rotor-router engines: applies
-/// `cycles` confirmed periods by patching time and the per-node stats
-/// counters in place — no serialize/reparse round-trip, one pass over the
-/// delta runs. Atomic per the CycleLeapable contract: every delta key and
-/// length is validated before anything mutates; false means "unknown
-/// shape, nothing changed" and the wrapper falls back to its generic
-/// (equally exact) leap path.
-template <typename StatsArray>
-inline bool leap_rotor_accumulators(
-    const std::vector<sim::AccumulatorDelta>& deltas, std::uint64_t cycles,
-    std::uint64_t& time, StatsArray& stats) {
-  const std::uint64_t n = stats.size();
-  const auto member_of = [](const std::string& key)
-      -> std::uint64_t VisitStats::* {
-    if (key == "visits") return &VisitStats::visits;
-    if (key == "exits") return &VisitStats::exits;
-    if (key == "last_visit") return &VisitStats::last_visit;
-    return nullptr;
-  };
-  for (const sim::AccumulatorDelta& d : deltas) {
-    if (d.key == "time") {
-      if (!d.scalar) return false;
-      continue;
-    }
-    if (d.scalar || member_of(d.key) == nullptr) return false;
-    std::uint64_t covered = 0;
-    for (const sim::DeltaRun& r : d.runs) covered += r.len;
-    if (covered != n) return false;
-  }
-  for (const sim::AccumulatorDelta& d : deltas) {
-    if (d.key == "time") {
-      time += cycles * d.scalar_delta;
-      continue;
-    }
-    const auto member = member_of(d.key);
-    std::uint64_t v = 0;
-    for (const sim::DeltaRun& r : d.runs) {
-      const std::uint64_t add = cycles * r.delta;
-      if (add == 0) {
-        v += r.len;
-        continue;
-      }
-      for (std::uint64_t j = 0; j < r.len; ++j, ++v) stats[v].*member += add;
-    }
-  }
-  return true;
-}
-
-/// The substrate-independent tail of engine construction: validates and
-/// applies the optional initial pointer field, places the agent multiset
-/// (counts + the paper's n_v(0) visits), and marks initial hosts
-/// covered. Assumes node[v].degree/row_begin are already cached (by
-/// init_rotor_nodes below, or by the substrate image builder) and stats
-/// carry the never-visited sentinel. on_first_occupy(v) fires the first
-/// time a node gains an agent, in `agents` order — engines seed their
-/// occupied bookkeeping with it. Returns the initially covered count.
-/// Touches only the agent nodes (plus every node when a pointer field is
-/// given), so out-of-core construction faults in O(agents) pages.
-template <typename NodeArray, typename StatsArray, typename OnFirstOccupy>
-inline graph::NodeId place_rotor_agents(
-    const graph::CsrGraph& csr, const std::vector<graph::NodeId>& agents,
-    const std::vector<std::uint32_t>& pointers, NodeArray& node,
-    std::vector<std::uint32_t>& initial_pointers, StatsArray& stats,
-    OnFirstOccupy&& on_first_occupy) {
-  RR_REQUIRE(!agents.empty(), "at least one agent required");
-  const graph::NodeId n = csr.num_nodes();
-  if (pointers.empty()) {
-    initial_pointers.assign(n, 0);
-  } else {
-    RR_REQUIRE(pointers.size() == n, "pointer vector size mismatch");
-    for (graph::NodeId v = 0; v < n; ++v) {
-      RR_REQUIRE(pointers[v] < csr.degree_unchecked(v),
-                 "pointer out of range");
-      node[v].pointer = pointers[v];
-    }
-    initial_pointers.assign(pointers.begin(), pointers.end());
-  }
-  graph::NodeId covered = 0;
-  for (graph::NodeId v : agents) {
-    RR_REQUIRE(v < n, "agent start node out of range");
-    if (node[v].count == 0) {
-      on_first_occupy(v);
-      stats[v].first_visit = 0;
-      ++covered;
-    }
-    ++node[v].count;
-    ++stats[v].visits;  // n_v(0) counts initially placed agents
-  }
-  return covered;
-}
-
-/// Constructor-time initialization over an in-RAM CSR: caches
-/// degree/row offsets into the NodeState block, then places the agents
-/// via place_rotor_agents. Returns the initially covered count.
-template <typename NodeArray, typename StatsArray, typename OnFirstOccupy>
-inline graph::NodeId init_rotor_nodes(const graph::CsrGraph& csr,
-                                      const std::vector<graph::NodeId>& agents,
-                                      const std::vector<std::uint32_t>& pointers,
-                                      NodeArray& node,
-                                      std::vector<std::uint32_t>& initial_pointers,
-                                      StatsArray& stats,
-                                      OnFirstOccupy&& on_first_occupy) {
-  for (graph::NodeId v = 0; v < csr.num_nodes(); ++v) {
-    node[v].degree = csr.degree_unchecked(v);
-    node[v].row_begin = csr.row_offset(v);
-  }
-  return place_rotor_agents(csr, agents, pointers, node, initial_pointers,
-                            stats,
-                            std::forward<OnFirstOccupy>(on_first_occupy));
-}
-
-/// FNV-1a over (pointer, count) per node — the configuration identity
-/// both engines report as config_hash.
-template <typename NodeArray>
-inline std::uint64_t rotor_config_hash(const NodeArray& node) {
-  Fnv1a h;
-  for (const graph::NodeState& ns : node) {
-    h.mix(ns.pointer);
-    h.mix(ns.count);
-  }
-  return h.value();
-}
 
 /// Writes the full rotor-router field set: time, sparse agent sites
 /// (ascending node id), pointer fields, visit statistics. The per-node
@@ -189,7 +64,7 @@ inline void serialize_rotor_state(sim::StateWriter& out, std::uint64_t time,
 
 /// The engine-agnostic result of a restore: everything except the
 /// engine's own occupied bookkeeping, which each engine rebuilds from
-/// the repopulated counts (sequential: one list; sharded: per shard).
+/// the repopulated counts (one list per shard or worker).
 struct RestoredRotorState {
   std::uint64_t time = 0;
   std::uint32_t num_agents = 0;

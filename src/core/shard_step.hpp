@@ -2,12 +2,12 @@
 
 // Shared pieces of the rotor-router round kernel (core layer).
 //
-// The sequential engine (core::RotorRouter) and the shard-parallel engine
-// (core::ShardedRotorRouter) run the same per-node round: move the
-// non-held agents out along consecutive ports from the rotor pointer,
-// advance the pointer, commit arrivals. This header holds the parts both
-// share, so the differential gate pins one kernel, not two divergent
-// copies:
+// The rotor-router engine (core::RotorRouter, at every shard count) and
+// the distributed workers (dist/worker.hpp) run the same per-node round:
+// move the non-held agents out along consecutive ports from the rotor
+// pointer, advance the pointer, commit arrivals. This header holds the
+// parts they share, so the differential gate pins one kernel, not
+// divergent copies:
 //
 //  * distribute_exits — the vectorized exit loop. c agents leaving a
 //    degree-d node sweep the ports cyclically, so every port receives
@@ -79,10 +79,11 @@ inline std::uint32_t distribute_exits(const std::uint32_t* row,
 
 /// Applies a committed arrival of `a` agents to node `nu`/`st` at round
 /// `time` — count, n_v, last-visit, first-visit — and reports whether the
-/// node was newly covered. Shared by the sequential and sharded commit
-/// loops so the bookkeeping convention (n_v counts arrivals, first visit
-/// at the commit round) cannot drift between them; callers handle their
-/// own occupied-list membership (checked *before* the count update).
+/// node was newly covered. Shared by the engine's and the distributed
+/// workers' commit loops so the bookkeeping convention (n_v counts
+/// arrivals, first visit at the commit round) cannot drift between them;
+/// callers handle their own occupied-list membership (checked *before*
+/// the count update).
 inline bool commit_node_arrival(graph::NodeState& nu, VisitStats& st,
                                 std::uint64_t time, std::uint32_t a) {
   nu.count += a;

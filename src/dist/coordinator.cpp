@@ -450,7 +450,7 @@ std::uint64_t DistributedRotorRouter::config_hash() const {
   auto* self = const_cast<DistributedRotorRouter*>(this);
   if (halted_) return 0;
   // Chained FNV-1a: each worker continues the fold over its own rows, so
-  // the result equals rotor_config_hash over the full node array.
+  // the result equals RotorRouter::config_hash over the full node array.
   std::uint64_t state = Fnv1a().value();
   for (std::uint32_t w = 0; w < part_.num_shards(); ++w) {
     DistMsg q;

@@ -3,8 +3,8 @@
 // Worker side of the distributed rotor-router (dist layer).
 //
 // One WorkerNode owns one contiguous arc-balanced shard of the CSR row
-// space — the same graph::Partition ranges core::ShardedRotorRouter uses
-// in-process — and runs the identical race-free round kernel
+// space — the same graph::Partition ranges a multi-shard core::RotorRouter
+// uses in-process — and runs the identical race-free round kernel
 // (core/shard_step.hpp): scan its occupied rows, distribute exits, commit
 // arrival totals. The only difference is where cross-shard arrivals go:
 // instead of a sibling shard's spill buffer in shared memory, they

@@ -9,6 +9,15 @@ Partition::Partition(const CsrGraph& g, std::uint32_t shards) {
   RR_REQUIRE(n > 0, "cannot partition an empty graph");
   if (shards == 0) shards = 1;
   if (shards > n) shards = n;
+  frontier_.resize(shards);
+  frontier_owners_.resize(shards);
+  if (shards == 1) {
+    // One shard owns every row: no weights to balance, no frontier and no
+    // arc slots, so construction touches nothing of the graph (an
+    // image-backed engine stays O(agents) pages).
+    starts_ = {0, n};
+    return;
+  }
 
   // Weighted prefix boundaries: shard s ends at the smallest row whose
   // cumulative weight reaches total * (s+1) / shards. Weights are 1 + deg
@@ -33,7 +42,6 @@ Partition::Partition(const CsrGraph& g, std::uint32_t shards) {
   }
   starts_[shards] = n;
 
-  frontier_.resize(shards);
   for (std::uint32_t s = 0; s < shards; ++s) {
     auto& fr = frontier_[s];
     for (NodeId w = starts_[s]; w < starts_[s + 1]; ++w) {
@@ -45,23 +53,20 @@ Partition::Partition(const CsrGraph& g, std::uint32_t shards) {
     fr.erase(std::unique(fr.begin(), fr.end()), fr.end());
   }
 
-  frontier_owners_.resize(shards);
-  if (shards > 1) {
-    arc_slots_.resize(g.num_arcs());
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      frontier_owners_[s].resize(frontier_[s].size());
-      for (std::uint32_t slot = 0; slot < frontier_[s].size(); ++slot) {
-        frontier_owners_[s][slot] = owner(frontier_[s][slot]);
-      }
-      for (NodeId w = starts_[s]; w < starts_[s + 1]; ++w) {
-        const std::size_t base = g.row_offset(w);
-        const auto row = g.neighbors(w);
-        for (std::uint32_t p = 0; p < static_cast<std::uint32_t>(row.size()); ++p) {
-          const NodeId u = row[p];
-          arc_slots_[base + p] = (u >= starts_[s] && u < starts_[s + 1])
-                                     ? kInShard
-                                     : frontier_slot(s, u);
-        }
+  arc_slots_.resize(g.num_arcs());
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    frontier_owners_[s].resize(frontier_[s].size());
+    for (std::uint32_t slot = 0; slot < frontier_[s].size(); ++slot) {
+      frontier_owners_[s][slot] = owner(frontier_[s][slot]);
+    }
+    for (NodeId w = starts_[s]; w < starts_[s + 1]; ++w) {
+      const std::size_t base = g.row_offset(w);
+      const auto row = g.neighbors(w);
+      for (std::uint32_t p = 0; p < static_cast<std::uint32_t>(row.size()); ++p) {
+        const NodeId u = row[p];
+        arc_slots_[base + p] = (u >= starts_[s] && u < starts_[s + 1])
+                                   ? kInShard
+                                   : frontier_slot(s, u);
       }
     }
   }

@@ -2,8 +2,8 @@
 
 // CSR row-space partitioning + the packed node-state block (graph layer).
 //
-// Shard-parallel stepping (core::ShardedRotorRouter) and the sequential
-// engine's SoA hot path share two layout decisions made here:
+// The rotor-router engine (core::RotorRouter, at every shard count) and
+// the distributed workers share two layout decisions made here:
 //
 //  * NodeState packs the per-node fields every rotor-router round touches
 //    — agent count, rotor pointer, degree, the arrival accumulator and
@@ -54,7 +54,8 @@ class Partition {
   /// Splits `g`'s rows into at most `shards` contiguous ranges balanced
   /// by arc count (each node weighted 1 + deg, so both huge-degree hubs
   /// and seas of tiny nodes split evenly). `shards` is clamped to
-  /// [1, num_nodes]; every shard is non-empty.
+  /// [1, num_nodes]; every shard is non-empty. One shard is O(1): it reads
+  /// no row of `g` and builds no frontier or arc-slot table.
   Partition(const CsrGraph& g, std::uint32_t shards);
 
   std::uint32_t num_shards() const {

@@ -4,6 +4,10 @@
 #include <cstdio>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "graph/descriptor.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ckpt_v2.hpp"
@@ -36,6 +40,12 @@ constexpr std::size_t qos_index(QosClass c) {
 }
 
 }  // namespace
+
+void pin_mmap_threshold() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 128 << 10);
+#endif
+}
 
 SessionService::SessionService(ServiceOptions opt) : opt_(std::move(opt)) {
   if (opt_.quantum == 0) opt_.quantum = 1;

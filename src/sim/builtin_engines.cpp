@@ -16,7 +16,6 @@
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "dist/coordinator.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/substrate.hpp"
@@ -68,13 +67,9 @@ void register_rotor(EngineRegistry& r) {
           return nullptr;
         }
         // The shard count is an execution choice, not checkpoint state:
-        // the same document restores sequentially or shard-parallel.
-        if (c.shards > 1) {
-          return std::make_unique<core::ShardedRotorRouter>(
-              std::move(*csr), agents_of(c), c.pointers, c.shards, c.pool);
-        }
-        return std::make_unique<core::RotorRouter>(std::move(*csr),
-                                                   agents_of(c), c.pointers);
+        // the same document restores under any shard count.
+        return std::make_unique<core::RotorRouter>(
+            std::move(*csr), agents_of(c), c.pointers, c.shards, c.pool);
       },
   });
 }

@@ -97,8 +97,8 @@ std::optional<ParsedCheckpoint> parse_checkpoint_file(
 
 /// Restores an already-parsed document through EngineRegistry::restore.
 /// `config` carries execution choices that are not checkpoint state: a
-/// shard count (> 1 restores "rotor-router" documents into the
-/// shard-parallel core::ShardedRotorRouter; engines without shard support
+/// shard count (> 1 restores "rotor-router" documents into a
+/// shard-parallel core::RotorRouter; engines without shard support
 /// ignore it), the pool, dist worker options. nullptr on unknown engine,
 /// substrate mismatch, or a state body inconsistent with the substrate,
 /// with the cause in `*error` when provided.

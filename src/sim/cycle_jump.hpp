@@ -72,6 +72,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/limit_cycle.hpp"
 #include "sim/state_io.hpp"
 
 namespace rr::sim {
@@ -126,41 +127,6 @@ struct CycleJumpStats {
   bool abandoned = false;           ///< detection permanently off
   std::uint64_t period = 0;         ///< confirmed leap period (multiple of
                                     ///< the minimal state period)
-};
-
-/// Incremental Brent cycle probe over an externally sampled hash stream.
-/// Feed (hash, absolute round); a repeat against the stored tortoise
-/// yields a candidate cycle length in *rounds* (the sample times need not
-/// be evenly spaced — the candidate is simply now minus the tortoise's
-/// round, which any genuine state repeat makes a period multiple).
-class BrentProbe {
- public:
-  /// Returns the candidate round count on a tortoise match.
-  std::optional<std::uint64_t> feed(std::uint64_t hash, std::uint64_t round) {
-    if (!primed_) {
-      primed_ = true;
-      tortoise_ = hash;
-      tortoise_round_ = round;
-      return std::nullopt;
-    }
-    if (hash == tortoise_) return round - tortoise_round_;
-    if (++lambda_ == power_) {
-      tortoise_ = hash;
-      tortoise_round_ = round;
-      power_ *= 2;
-      lambda_ = 0;
-    }
-    return std::nullopt;
-  }
-
-  void reset() { *this = BrentProbe{}; }
-
- private:
-  bool primed_ = false;
-  std::uint64_t tortoise_ = 0;
-  std::uint64_t tortoise_round_ = 0;
-  std::uint64_t power_ = 1;
-  std::uint64_t lambda_ = 0;
 };
 
 /// Per-cycle increment of one accumulator field, RLE-compressed (visit

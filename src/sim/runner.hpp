@@ -192,7 +192,7 @@ class Runner {
   unsigned num_threads() const { return pool_.num_threads(); }
 
   /// The underlying fork-join pool; share it with shard-parallel engines
-  /// (core::ShardedRotorRouter) so trial-level and shard-level parallelism
+  /// (a multi-shard core::RotorRouter) so trial-level and shard-level parallelism
   /// draw from one set of threads instead of oversubscribing.
   ThreadPool& pool() { return pool_; }
 

@@ -55,11 +55,11 @@ TEST(EulerianLockIn, TokenEngineTracksLockedRotorAcrossTopologies) {
     // there this round).
     RotorRouter& rotor = *locked.rotor;
     EulerianRotorRouter& tokens = *locked.engine;
-    ASSERT_EQ(tokens.token_node(0), rotor.occupied_nodes().front());
+    ASSERT_EQ(tokens.token_node(0), rotor.agent_positions().front());
     for (std::uint64_t t = 0; t < 2 * g->num_arcs(); ++t) {
       rotor.step();
       tokens.step();
-      const NodeId rotor_at = rotor.occupied_nodes().front();
+      const NodeId rotor_at = rotor.agent_positions().front();
       ASSERT_EQ(tokens.token_node(0), rotor_at) << "round " << t;
       ASSERT_EQ(rotor.last_visit_time(rotor_at), rotor.time());
     }
@@ -92,7 +92,7 @@ TEST(EulerianLockIn, LockstepSurvivesDelayedSchedules) {
     for (std::uint64_t t = 0; t < 3 * g->num_arcs(); ++t) {
       rotor.step_delayed(base);
       tokens.step_delayed(shifted);
-      ASSERT_EQ(tokens.token_node(0), rotor.occupied_nodes().front())
+      ASSERT_EQ(tokens.token_node(0), rotor.agent_positions().front())
           << "round " << t;
     }
   }

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "core/ring_rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
+#include "core/rotor_router.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace rr::sim {
@@ -177,10 +177,12 @@ TEST(EngineRegistry, ShardRequestSelectsShardParallelStepper) {
   std::string error;
   auto engine = r.create("rotor", "torus 6 6", config, &error);
   ASSERT_NE(engine, nullptr) << error;
-  // Interchangeable checkpoints: the sharded stepper reports the same
-  // engine_name, but is the shard-parallel type underneath.
+  // Interchangeable checkpoints: one engine type and engine_name for
+  // every shard count; the request only sets how many shards it steps.
   EXPECT_EQ(std::string(engine->engine_name()), "rotor-router");
-  EXPECT_NE(dynamic_cast<core::ShardedRotorRouter*>(engine.get()), nullptr);
+  const auto* rotor = dynamic_cast<core::RotorRouter*>(engine.get());
+  ASSERT_NE(rotor, nullptr);
+  EXPECT_EQ(rotor->num_shards(), 4u);
 
   // Non-shard-capable engines ignore the request (callers warn).
   auto ring = r.create("ring", "ring 16", config, &error);
@@ -290,8 +292,9 @@ TEST_P(BuiltinRestore, V2RoundTripIsByteIdentical) {
     auto restored = r.restore(spec->name, *d, parsed->state, exec, &error);
     ASSERT_NE(restored, nullptr) << error;
     if (shards > 1) {
-      EXPECT_NE(dynamic_cast<core::ShardedRotorRouter*>(restored.get()),
-                nullptr);
+      const auto* rotor = dynamic_cast<core::RotorRouter*>(restored.get());
+      ASSERT_NE(rotor, nullptr);
+      EXPECT_EQ(rotor->num_shards(), shards);
     }
     EXPECT_EQ(write_checkpoint(*restored, descriptor, CkptFormat::kV2), text);
   }

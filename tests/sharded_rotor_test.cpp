@@ -1,10 +1,10 @@
-// Differential gate for the shard-parallel engine: ShardedRotorRouter
-// must be bit-equal — per-round config_hash, visits, first-visit rounds,
-// coverage — to the sequential RotorRouter for every tested shard count
-// ({1, 2, 3, 7, 8}), across topologies, adversarial delayed schedules,
-// pool thread counts, and the save→load→continue lane (including restarts
-// that change the shard count mid-run: checkpoints are interchangeable
-// between the sequential and sharded engines).
+// Differential gate for shard-parallel stepping: a RotorRouter with N
+// shards must be bit-equal — per-round config_hash, visits, first-visit
+// rounds, coverage, arc traversals, agent positions — to the one-shard
+// engine for every tested shard count ({1, 2, 3, 7, 8}), across
+// topologies, adversarial delayed schedules, pool thread counts, and the
+// save→load→continue lane (including restarts that change the shard
+// count mid-run: checkpoints do not depend on the shard count).
 //
 // RR_TEST_POOL_THREADS narrows the thread matrix to one value; the ASan
 // CI job re-runs this suite across the matrix that way.
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "differential.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
@@ -85,10 +84,10 @@ TEST(ShardedRotor, BitEqualToSequentialAcrossShardCountsAndTopologies) {
                    << topo.name << " k=" << sc.agents.size() << " delay_kind="
                    << sc.delays.delay_kind << " rounds=" << sc.rounds);
       core::RotorRouter reference(topo.graph, sc.agents, sc.pointers);
-      std::vector<std::unique_ptr<core::ShardedRotorRouter>> candidates;
+      std::vector<std::unique_ptr<core::RotorRouter>> candidates;
       std::vector<sim::Engine*> engines{&reference};
       for (std::uint32_t shards : kShardCounts) {
-        candidates.push_back(std::make_unique<core::ShardedRotorRouter>(
+        candidates.push_back(std::make_unique<core::RotorRouter>(
             topo.graph, sc.agents, sc.pointers, shards));
         engines.push_back(candidates.back().get());
       }
@@ -118,10 +117,10 @@ TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
                    << "threads=" << threads << " k=" << sc.agents.size()
                    << " delay_kind=" << sc.delays.delay_kind);
       core::RotorRouter reference(g, sc.agents, sc.pointers);
-      std::vector<std::unique_ptr<core::ShardedRotorRouter>> candidates;
+      std::vector<std::unique_ptr<core::RotorRouter>> candidates;
       std::vector<sim::Engine*> engines{&reference};
       for (std::uint32_t shards : {2u, 3u, 8u}) {
-        candidates.push_back(std::make_unique<core::ShardedRotorRouter>(
+        candidates.push_back(std::make_unique<core::RotorRouter>(
             g, sc.agents, sc.pointers, shards, &pool));
         engines.push_back(candidates.back().get());
       }
@@ -143,8 +142,7 @@ TEST(ShardedRotor, SharedRunnerPoolStepsInlineInsideTrials) {
   sim::Runner runner(4);
   std::vector<std::uint64_t> hashes(8);
   runner.for_each(8, [&](std::uint64_t i) {
-    core::ShardedRotorRouter sharded(g, agents, {}, /*shards=*/4,
-                                     &runner.pool());
+    core::RotorRouter sharded(g, agents, {}, /*shards=*/4, &runner.pool());
     sharded.run(64);
     hashes[i] = sharded.config_hash();
   });
@@ -167,8 +165,8 @@ TEST(ShardedRotor, CheckpointRestartAcrossShardCounts) {
                    << " restart@" << restart << " k=" << sc.agents.size());
       core::RotorRouter reference(g, sc.agents, sc.pointers);
       std::unique_ptr<sim::Engine> candidate =
-          std::make_unique<core::ShardedRotorRouter>(g, sc.agents,
-                                                     sc.pointers, shards_before);
+          std::make_unique<core::RotorRouter>(g, sc.agents, sc.pointers,
+                                              shards_before);
       const sim::DelayFn delay = sc.delays.delay();
       for (std::uint64_t t = 0; t < sc.rounds; ++t) {
         if (t == restart) {
@@ -181,12 +179,9 @@ TEST(ShardedRotor, CheckpointRestartAcrossShardCounts) {
           config.shards = shards_after;
           candidate = sim::restore_checkpoint(*parsed, config);
           ASSERT_NE(candidate, nullptr);
-          if (shards_after > 1) {
-            auto* sharded =
-                dynamic_cast<core::ShardedRotorRouter*>(candidate.get());
-            ASSERT_NE(sharded, nullptr);
-            EXPECT_EQ(sharded->num_shards(), shards_after);
-          }
+          auto* restored = dynamic_cast<core::RotorRouter*>(candidate.get());
+          ASSERT_NE(restored, nullptr);
+          EXPECT_EQ(restored->num_shards(), shards_after);
           const Mismatch m = compare_engines(reference, *candidate);
           ASSERT_TRUE(m.ok) << "after restore: " << m.detail;
         }
@@ -224,6 +219,36 @@ TEST(ShardedRotor, SequentialCheckpointRestoresIntoShardedEngine) {
   ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
 }
 
+TEST(ShardedRotor, ArcTraversalsAndAgentPositionsMatchAcrossShardCounts) {
+  // compare_engines reads the sim::Engine observables; the rotor-only
+  // accessors (arc_traversals over the initial pointers and exit counts,
+  // agent_positions over every shard's occupied list) are checked here.
+  Rng rng(0xA2C7ULL);
+  for (const Topology& topo : topologies()) {
+    const GraphScenario sc = GraphScenario::random(topo.graph, rng);
+    SCOPED_TRACE(::testing::Message()
+                 << topo.name << " k=" << sc.agents.size() << " delay_kind="
+                 << sc.delays.delay_kind);
+    core::RotorRouter one(topo.graph, sc.agents, sc.pointers);
+    core::RotorRouter four(topo.graph, sc.agents, sc.pointers, /*shards=*/4);
+    ASSERT_EQ(one.num_shards(), 1u);
+    ASSERT_EQ(four.num_shards(), 4u);
+    const sim::DelayFn delay = sc.delays.delay();
+    for (std::uint64_t t = 0; t < sc.rounds; ++t) {
+      one.step_delayed(delay);
+      four.step_delayed(delay);
+      ASSERT_EQ(one.agent_positions(), four.agent_positions()) << "t " << t;
+      ASSERT_EQ(one.occupied_count(), four.occupied_count()) << "t " << t;
+      for (graph::NodeId v = 0; v < one.num_nodes(); ++v) {
+        for (std::uint32_t p = 0; p < one.graph().degree(v); ++p) {
+          ASSERT_EQ(one.arc_traversals(v, p), four.arc_traversals(v, p))
+              << "t " << t << " arc (" << v << ", " << p << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(ShardedRotor, PileUpDeploymentsMatchAcrossShards) {
   // All-on-one deployments exercise the batched full-cycle exit path
   // (distribute_exits) and the spill accumulation under pile-ups.
@@ -233,10 +258,10 @@ TEST(ShardedRotor, PileUpDeploymentsMatchAcrossShards) {
       SCOPED_TRACE(::testing::Message() << topo.name << " k=" << k);
       const std::vector<graph::NodeId> agents(k, n / 2);
       core::RotorRouter reference(topo.graph, agents);
-      std::vector<std::unique_ptr<core::ShardedRotorRouter>> candidates;
+      std::vector<std::unique_ptr<core::RotorRouter>> candidates;
       std::vector<sim::Engine*> engines{&reference};
       for (std::uint32_t shards : kShardCounts) {
-        candidates.push_back(std::make_unique<core::ShardedRotorRouter>(
+        candidates.push_back(std::make_unique<core::RotorRouter>(
             topo.graph, agents, std::vector<std::uint32_t>{}, shards));
         engines.push_back(candidates.back().get());
       }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/rotor_router.hpp"
-#include "core/sharded_rotor_router.hpp"
 #include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/registry.hpp"
@@ -40,9 +39,6 @@ const NodeId* rotor_arcs(const sim::Engine& e) {
   if (const auto* r = dynamic_cast<const core::RotorRouter*>(&e)) {
     return r->graph().arcs();
   }
-  if (const auto* s = dynamic_cast<const core::ShardedRotorRouter*>(&e)) {
-    return s->graph().arcs();
-  }
   return dynamic_cast<const walk::GraphRandomWalks&>(e).graph().arcs();
 }
 
@@ -53,6 +49,7 @@ TEST(Substrate, EnginesOnOneDescriptorShareOneArcArray) {
     auto a = create("rotor", d);
     auto b = create("rotor", d);
     auto sharded = create("rotor", d, /*shards=*/2);
+    EXPECT_EQ(dynamic_cast<core::RotorRouter&>(*sharded).num_shards(), 2u);
     auto walks = create("walks", d);
     ASSERT_TRUE(a && b && sharded && walks);
     EXPECT_TRUE(substrate_interned(d));
