@@ -52,7 +52,8 @@ void BM_GeneralRotorRouterTorus(benchmark::State& state) {
   rr::graph::Graph g = rr::graph::torus(side, side);
   std::vector<rr::graph::NodeId> agents(k);
   for (std::uint32_t i = 0; i < k; ++i) {
-    agents[i] = (i * g.num_nodes()) / k;
+    agents[i] = static_cast<rr::graph::NodeId>(
+        static_cast<std::uint64_t>(i) * g.num_nodes() / k);
   }
   rr::core::RotorRouter rr(g, agents);
   for (auto _ : state) {
@@ -61,8 +62,10 @@ void BM_GeneralRotorRouterTorus(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * k);
 }
+// 64² and 256² keep the per-node state cache-resident; 1024² with 2^16
+// agents is out of cache, so that row times the staged-gather scan.
 BENCHMARK(BM_GeneralRotorRouterTorus)->Args({64, 8})->Args({64, 64})
-    ->Args({256, 64});
+    ->Args({256, 64})->Args({1024, 1 << 16});
 
 void BM_RingRandomWalks(benchmark::State& state) {
   const auto n = static_cast<rr::walk::NodeId>(state.range(0));

@@ -2,8 +2,8 @@
 //
 // Agent-steps per second of the general rotor-router as a function of
 // shard count on the torus scenarios the roadmap budgets against (64² and
-// 256², k = 64), plus a pile-up deployment exercising the batched
-// full-cycle exit path. Every row builds one core::RotorRouter with the
+// 256², k = 64; 1024², k = 2^16, whose state is out of cache), plus a
+// pile-up deployment exercising the batched full-cycle exit path. Every row builds one core::RotorRouter with the
 // row's shard count; /0 and /1 both build the one-shard engine (0 is
 // clamped to 1), and both names are kept so tools/bench_diff.py history
 // lines up with the rows from when /0 was a separate sequential engine.
@@ -55,7 +55,10 @@ BENCHMARK(BM_ShardedRotorRouterTorus)
     ->Args({256, 64, 1})
     ->Args({256, 64, 2})
     ->Args({256, 64, 4})
-    ->Args({256, 64, 8});
+    ->Args({256, 64, 8})
+    ->Args({1024, 1 << 16, 0})
+    ->Args({1024, 1 << 16, 1})
+    ->Args({1024, 1 << 16, 4});
 
 // All k agents piled on one node: the full-cycle exit batching turns the
 // O(k) per-round arrival loop into O(deg), so throughput here tracks the

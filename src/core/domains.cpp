@@ -73,7 +73,7 @@ ONode o_of(const RingRotorRouter& rr, NodeId v) {
     u = (step_dir > 0) ? rr.clockwise(u) : rr.anticlockwise(u);
     if (rr.agents_at(u) > 0) return {true, u};
   }
-  RR_REQUIRE(false, "no agent found on the ring");
+  RR_UNREACHABLE("no agent found on the ring");
 }
 
 DomainSnapshot compute_domains(const RingRotorRouter& rr) {

@@ -12,12 +12,21 @@ namespace rr::core {
 
 using graph::NodeState;
 
+namespace {
+
+bool state_out_of_cache(NodeId n) {
+  return std::size_t{n} * kStateBytesPerNode > kCacheResidentStateBytes;
+}
+
+}  // namespace
+
 RotorRouter::RotorRouter(CsrGraph csr, const std::vector<NodeId>& agents,
                          std::vector<std::uint32_t> pointers,
                          std::uint32_t shards, sim::ThreadPool* pool)
     : csr_(std::move(csr)),
       part_(csr_, shards),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
+      pipelined_(state_out_of_cache(csr_.num_nodes())),
       node_(csr_.num_nodes()),
       stats_(csr_.num_nodes()),
       shards_(part_.num_shards()) {
@@ -55,6 +64,7 @@ RotorRouter::RotorRouter(const std::shared_ptr<graph::MappedSubstrate>& substrat
     : csr_(substrate->csr()),
       part_(csr_, 1),
       num_agents_(static_cast<std::uint32_t>(agents.size())),
+      pipelined_(state_out_of_cache(csr_.num_nodes())),
       node_(substrate->node_state()),
       stats_(substrate->visit_stats<VisitStats>()),
       shards_(1) {
@@ -102,23 +112,23 @@ void RotorRouter::commit_arrival(Shard& sh, NodeId u, std::uint32_t a) {
   if (commit_node_arrival(nu, stats_[u], time_, a)) ++sh.newly_covered;
 }
 
-template <bool SingleShard>
+template <bool SingleShard, bool Pipelined>
 void RotorRouter::commit_shard(std::uint32_t d) {
   Shard& sh = shards_[d];
-  // Drop rows fully vacated this round and add newly occupied ones;
-  // `count > 0` is the membership invariant, so the occupied list never
-  // outgrows the set of owned rows hosting agents (delayed deployments
-  // included).
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < sh.occupied.size(); ++i) {
-    if (node_[sh.occupied[i]].count > 0) sh.occupied[w++] = sh.occupied[i];
-  }
-  sh.occupied.resize(w);
+  // The scan left only rows still hosting agents on the occupied list;
+  // committing re-lists the rows this round's arrivals fill.
 
   // Own in-shard arrivals, in scan order.
   const std::size_t touched_n = sh.touched.size();
   for (std::size_t i = 0; i < touched_n; ++i) {
-    if (i + 4 < touched_n) prefetch_ro(&stats_[sh.touched[i + 4]]);
+    if constexpr (Pipelined) {
+      if (i + 8 < touched_n) {
+        prefetch_ro(&stats_[sh.touched[i + 8]]);
+        prefetch_ro(&node_[sh.touched[i + 8]]);
+      }
+    } else {
+      if (i + 4 < touched_n) prefetch_ro(&stats_[sh.touched[i + 4]]);
+    }
     const NodeId u = sh.touched[i];
     const std::uint32_t a = node_[u].arrivals;
     if (a == 0) continue;  // duplicate touch already committed
@@ -147,8 +157,10 @@ void RotorRouter::commit_shard(std::uint32_t d) {
   }
 }
 
-template void RotorRouter::commit_shard<true>(std::uint32_t);
-template void RotorRouter::commit_shard<false>(std::uint32_t);
+template void RotorRouter::commit_shard<true, false>(std::uint32_t);
+template void RotorRouter::commit_shard<true, true>(std::uint32_t);
+template void RotorRouter::commit_shard<false, false>(std::uint32_t);
+template void RotorRouter::commit_shard<false, true>(std::uint32_t);
 
 std::size_t RotorRouter::occupied_count() const {
   std::size_t total = 0;

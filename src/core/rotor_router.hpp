@@ -19,6 +19,19 @@
 // stride — the round is memory-latency-bound on scattered nodes, so each
 // agent exit gathers two cache lines instead of six parallel-array ones.
 //
+// A round is a scan over the occupied list, then a commit of the touched
+// list. The scan moves each node's non-held agents out and compacts the
+// occupied list in place as it goes: a node stays listed, in order,
+// exactly when it keeps agents, and the commit re-lists the vacated nodes
+// that receive arrivals. On a large graph one exit is a chain of three
+// dependent misses (node record, arc row, target record). When the
+// per-node state exceeds kCacheResidentStateBytes, fixed at construction
+// from num_nodes(), the scan issues those misses in stages 32, 16 and 8
+// entries ahead so several exits' misses overlap (group prefetching, as in
+// Chen et al., ICDE 2004); a cache-resident state keeps a single node
+// prefetch 4 entries ahead, where the extra loads would cost more than
+// they hide. The choice changes no trajectory, hash or checkpoint byte.
+//
 // The engine also maintains the bookkeeping used throughout the paper's
 // analysis: n_v(t) (visits including the initial placement, Eq. (3)),
 // e_v(t) (exits, Eq. (2)), first/last visit times and coverage.
@@ -76,6 +89,18 @@ using graph::NodeId;
 
 inline constexpr std::uint64_t kNotCovered = sim::kNotCovered;
 
+/// Per-node state the round touches: one NodeState and one VisitStats.
+inline constexpr std::size_t kStateBytesPerNode =
+    sizeof(graph::NodeState) + sizeof(VisitStats);
+
+/// State size above which rounds take the staged-gather scan: past a
+/// core's private cache (2 MiB of L2 on the 4-core Xeon it was calibrated
+/// on) each agent exit waits on its misses, so the scan overlaps them
+/// across entries; below it the extra prefetch loads cost more than they
+/// hide. Calibrated on bench_perf torus rows with k = n/16 (see README,
+/// "Out-of-cache rounds").
+inline constexpr std::size_t kCacheResidentStateBytes = std::size_t{1} << 21;
+
 class RotorRouter final : public sim::Engine,
                           public sim::StateIO,
                           public sim::CycleLeapable {
@@ -123,17 +148,10 @@ class RotorRouter final : public sim::Engine,
   void step_delayed(DelayFn&& delay) {
     pristine_ = false;
     ++time_;
-    if (shards_.size() == 1) {
-      scan_shard<true>(0, delay);
-      commit_shard<true>(0);
+    if (pipelined_) {
+      round<true>(delay);
     } else {
-      const auto n = static_cast<std::uint64_t>(shards_.size());
-      pool_->for_each(n, [&](std::uint64_t s) {
-        scan_shard<false>(static_cast<std::uint32_t>(s), delay);
-      }, /*chunk=*/1);
-      pool_->for_each(n, [&](std::uint64_t s) {
-        commit_shard<false>(static_cast<std::uint32_t>(s));
-      }, /*chunk=*/1);
+      round<false>(delay);
     }
     for (Shard& sh : shards_) {
       covered_ += sh.newly_covered;
@@ -146,11 +164,15 @@ class RotorRouter final : public sim::Engine,
   NodeId num_nodes() const override { return csr_.num_nodes(); }
   std::uint32_t num_agents() const override { return num_agents_; }
   std::uint32_t num_shards() const { return part_.num_shards(); }
+  /// Whether rounds take the staged-gather scan: fixed at construction,
+  /// true when num_nodes() * kStateBytesPerNode exceeds
+  /// kCacheResidentStateBytes.
+  bool pipelined_scan() const { return pipelined_; }
 
   std::uint32_t agents_at(NodeId v) const { return node_[v].count; }
   std::uint32_t pointer(NodeId v) const { return node_[v].pointer; }
-  /// Number of nodes hosting at least one agent: the commit keeps every
-  /// shard's occupied list free of stale entries.
+  /// Number of nodes hosting at least one agent: the scan drops every
+  /// node it vacates from its shard's occupied list.
   std::size_t occupied_count() const;
 
   /// n_v(t): total visits to v in rounds [1,t] plus agents placed at v
@@ -221,7 +243,23 @@ class RotorRouter final : public sim::Engine,
     step_delayed(delay);
   }
 
-  template <bool SingleShard, typename DelayFn>
+  template <bool Pipelined, typename DelayFn>
+  void round(DelayFn& delay) {
+    if (shards_.size() == 1) {
+      scan_shard<true, Pipelined>(0, delay);
+      commit_shard<true, Pipelined>(0);
+    } else {
+      const auto n = static_cast<std::uint64_t>(shards_.size());
+      pool_->for_each(n, [&](std::uint64_t s) {
+        scan_shard<false, Pipelined>(static_cast<std::uint32_t>(s), delay);
+      }, /*chunk=*/1);
+      pool_->for_each(n, [&](std::uint64_t s) {
+        commit_shard<false, Pipelined>(static_cast<std::uint32_t>(s));
+      }, /*chunk=*/1);
+    }
+  }
+
+  template <bool SingleShard, bool Pipelined, typename DelayFn>
   void scan_shard(std::uint32_t s, DelayFn&& delay) {
     Shard& sh = shards_[s];
     if constexpr (!SingleShard) {
@@ -230,32 +268,56 @@ class RotorRouter final : public sim::Engine,
       for (auto& bucket : sh.spill_touched) bucket.clear();
     }
     const NodeId* arcs = csr_.arcs();
+    const NodeId own_begin = part_.begin(s);
+    const NodeId own_size = part_.end(s) - own_begin;
+    NodeId* const occupied = sh.occupied.data();
     const std::size_t occupied_before = sh.occupied.size();
+    std::size_t kept = 0;
     for (std::size_t idx = 0; idx < occupied_before; ++idx) {
-      if (idx + 4 < occupied_before) prefetch_ro(&node_[sh.occupied[idx + 4]]);
-      const NodeId v = sh.occupied[idx];
+      if constexpr (Pipelined) {
+        // Staged gather: an exit's three dependent misses (node record,
+        // then its arc row and stats line, then the first target's record)
+        // are issued 32, 16 and 8 entries ahead, each stage reading what
+        // the previous one brought in, so ~8 entries' misses overlap.
+        if (idx + 32 < occupied_before) {
+          prefetch_ro(&node_[occupied[idx + 32]]);
+        }
+        if (idx + 16 < occupied_before) {
+          const NodeId a = occupied[idx + 16];
+          prefetch_ro(arcs + node_[a].row_begin + node_[a].pointer);
+          prefetch_ro(&stats_[a]);
+        }
+        if (idx + 8 < occupied_before) {
+          const graph::NodeState& b = node_[occupied[idx + 8]];
+          prefetch_ro(&node_[arcs[b.row_begin + b.pointer]]);
+        }
+      } else if (idx + 4 < occupied_before) {
+        prefetch_ro(&node_[occupied[idx + 4]]);
+      }
+      const NodeId v = occupied[idx];
       graph::NodeState& ns = node_[v];
       const std::uint32_t present = ns.count;
-      if (present == 0) continue;  // stale entry; dropped at commit
+      RR_ASSERT(present > 0, "vacated node left on the occupied list");
       std::uint32_t held = delay(v, time_, present);
       if (held > present) held = present;
+      // Stable in-place compaction: a node stays listed exactly when it
+      // keeps agents; arrivals re-list vacated nodes at commit.
+      if (held > 0) occupied[kept++] = v;
       const std::uint32_t moving = present - held;
       if (moving == 0) continue;
       RR_ASSERT(ns.degree > 0, "agent stranded on isolated node");
       ns.pointer = distribute_exits(
           arcs + ns.row_begin, ns.degree, ns.pointer, moving,
           [&](std::uint32_t p, NodeId u, std::uint32_t c) {
-            // Arc classification is a precomputed table lookup
-            // (Partition::arc_slot), so cross-shard arrivals cost the
-            // same O(1) as in-shard ones.
-            const std::uint32_t slot =
-                SingleShard ? graph::Partition::kInShard
-                            : part_.arc_slot(ns.row_begin + p);
-            if (slot == graph::Partition::kInShard) {
+            // An owned head is in-shard by the row range alone; only a
+            // cross-shard arrival reads its precomputed frontier slot
+            // (Partition::arc_slot), one more O(1) lookup.
+            if (SingleShard || u - own_begin < own_size) {
               graph::NodeState& nu = node_[u];
               if (nu.arrivals == 0) sh.touched.push_back(u);
               nu.arrivals += c;
             } else {
+              const std::uint32_t slot = part_.arc_slot(ns.row_begin + p);
               if (sh.spill[slot] == 0) {
                 sh.spill_touched[part_.frontier_owner(s, slot)].push_back(slot);
               }
@@ -265,6 +327,7 @@ class RotorRouter final : public sim::Engine,
       stats_[v].exits += moving;
       ns.count = held;
     }
+    sh.occupied.resize(kept);
   }
 
   /// Applies the optional initial pointer field and places the agent
@@ -274,7 +337,7 @@ class RotorRouter final : public sim::Engine,
   /// field is given), so an image-backed engine faults in O(agents) pages.
   void place_agents(const std::vector<NodeId>& agents,
                     const std::vector<std::uint32_t>& pointers);
-  template <bool SingleShard>
+  template <bool SingleShard, bool Pipelined>
   void commit_shard(std::uint32_t d);
   void commit_arrival(Shard& sh, NodeId u, std::uint32_t a);
 
@@ -289,6 +352,7 @@ class RotorRouter final : public sim::Engine,
   /// rewriting default-valued spans, so resuming into a freshly opened
   /// substrate image dirties only the pages that differ from the image.
   bool pristine_ = false;
+  bool pipelined_ = false;  // see pipelined_scan()
 
   // Owned vectors for in-RAM construction, views into the image mapping
   // for image construction — same indexing either way.

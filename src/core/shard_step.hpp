@@ -22,9 +22,12 @@
 //    touch four parallel uint64 arrays (four cache lines per node); now
 //    it touches one.
 //
-//  * prefetch_ro — gather hints for the occupied-node scan; the round is
-//    memory-latency-bound on scattered node state, so overlapping the
-//    misses is worth more than any arithmetic tuning.
+//  * prefetch_ro — gather hints for the occupied-node scan and the
+//    commit; the round is memory-latency-bound on scattered node state,
+//    so overlapping the misses is worth more than any arithmetic tuning.
+//    core::RotorRouter issues them in three dependent stages (node record,
+//    arc row and stats line, target record) once its state outgrows
+//    kCacheResidentStateBytes, and one node hint otherwise.
 
 #include <cstdint>
 

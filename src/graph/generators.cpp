@@ -148,7 +148,7 @@ Graph random_regular(NodeId n, std::uint32_t d, std::uint64_t seed) {
   for (int attempt = 0; attempt < 10000; ++attempt) {
     if (try_random_regular(n, d, rng, g)) return g;
   }
-  RR_REQUIRE(false, "random_regular: rejection sampling did not converge");
+  RR_UNREACHABLE("random_regular: rejection sampling did not converge");
 }
 
 Graph erdos_renyi(NodeId n, double p, std::uint64_t seed) {
@@ -164,7 +164,7 @@ Graph erdos_renyi(NodeId n, double p, std::uint64_t seed) {
     }
     if (g.is_connected()) return g;
   }
-  RR_REQUIRE(false, "erdos_renyi: did not produce a connected sample");
+  RR_UNREACHABLE("erdos_renyi: did not produce a connected sample");
 }
 
 }  // namespace rr::graph

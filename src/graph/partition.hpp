@@ -82,8 +82,8 @@ class Partition {
   /// arc_slot(i) for an arc index i into CsrGraph::arcs(): the frontier
   /// slot of that arc's head in the tail-owner's frontier, or kInShard
   /// when tail and head share a shard. Precomputed once, so the scan
-  /// phase classifies and buckets every exit in O(1) instead of a binary
-  /// search per cross-shard arrival. Only built for multi-shard
+  /// phase buckets every cross-shard exit in O(1) instead of a binary
+  /// search per arrival. Only built for multi-shard
   /// partitions (a single shard has no cross-shard arcs).
   static constexpr std::uint32_t kInShard = ~std::uint32_t{0};
   std::uint32_t arc_slot(std::size_t arc) const { return arc_slots_[arc]; }

@@ -48,7 +48,7 @@ std::vector<double> expected_hitting_times(const graph::Graph& g,
     }
     if (max_delta < tol) return h;
   }
-  RR_REQUIRE(false, "hitting-time solver did not converge; raise max_iters");
+  RR_UNREACHABLE("hitting-time solver did not converge; raise max_iters");
 }
 
 std::vector<double> stationary_distribution(const graph::Graph& g) {

@@ -26,6 +26,8 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/initializers.hpp"
+#include "core/rotor_router.hpp"
+#include "graph/generators.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/engine.hpp"
 
@@ -162,6 +164,26 @@ inline Mismatch run_lockstep_with_restart(
     if (!m.ok) return m;
   }
   return {};
+}
+
+// ---- out-of-cache inputs ----
+
+/// The smallest square torus whose rotor state exceeds
+/// core::kCacheResidentStateBytes, so a RotorRouter on it takes the
+/// staged-gather scan that every small test graph skips.
+inline graph::Graph out_of_cache_torus() {
+  const std::size_t nodes =
+      core::kCacheResidentStateBytes / core::kStateBytesPerNode + 1;
+  NodeId side = 1;
+  while (std::size_t{side} * side < nodes) ++side;
+  return graph::torus(side, side);
+}
+
+/// `k` agents at uniform random nodes of an `n`-node graph.
+inline std::vector<NodeId> random_agents(NodeId n, std::uint32_t k, Rng& rng) {
+  std::vector<NodeId> agents(k);
+  for (NodeId& a : agents) a = rng.bounded(n);
+  return agents;
 }
 
 // ---- randomized ring scenarios ----

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 
@@ -13,6 +14,7 @@
 #include "core/initializers.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
+#include "differential.hpp"
 #include "graph/csr_graph.hpp"
 #include "graph/generators.hpp"
 
@@ -311,17 +313,30 @@ INSTANTIATE_TEST_SUITE_P(Topologies, GraphProperty, ::testing::Range(0, 10));
 
 // --- CSR engine vs seed semantics: lockstep against a naive nested-vector
 // simulator (the pre-CSR reference implementation) under adversarially
-// permuted port orders, on the paper's main topologies. ---
+// permuted port orders, on the paper's main topologies, at one and four
+// shards. Params 4 and 5 run a torus past core::kCacheResidentStateBytes
+// with thousands of agents under delayed schedules, so the staged-gather
+// scan and its in-scan compaction (kept when some agents are held, dropped
+// when all leave) meet the reference too. ---
 
 class CsrLockstep : public ::testing::TestWithParam<int> {
  protected:
+  bool out_of_cache() const { return GetParam() >= 4; }
   graph::Graph make() const {
     switch (GetParam()) {
       case 0: return graph::ring(48);
       case 1: return graph::torus(6, 7);
       case 2: return graph::random_regular(40, 4, 11);
-      default: return graph::erdos_renyi(36, 0.2, 23);
+      case 3: return graph::erdos_renyi(36, 0.2, 23);
+      default: return rr::testing::out_of_cache_torus();
     }
+  }
+  // RingScenario's delay kinds: 0 none, 1 random partial holds, 3 parity.
+  sim::DelayFn delay() const {
+    rr::testing::RingScenario sc;
+    sc.delay_kind = GetParam() == 4 ? 1 : GetParam() == 5 ? 3 : 0;
+    sc.delay_seed = 0x5EED + GetParam();
+    return sc.delay();
   }
 };
 
@@ -332,42 +347,62 @@ TEST_P(CsrLockstep, MatchesNaiveNestedVectorSimulation) {
     // Random cyclic rotations model the adversary's choice of rho_v.
     g.rotate_ports(v, rng.bounded(g.degree(v)));
   }
-  const std::vector<graph::NodeId> agents = {
-      0, 0, g.num_nodes() / 3, g.num_nodes() / 3, g.num_nodes() - 1};
+  const std::vector<graph::NodeId> agents =
+      out_of_cache()
+          ? rr::testing::random_agents(g.num_nodes(), 4096, rng)
+          : std::vector<graph::NodeId>{0, 0, g.num_nodes() / 3,
+                                       g.num_nodes() / 3, g.num_nodes() - 1};
   std::vector<std::uint32_t> init_ptrs(g.num_nodes());
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     init_ptrs[v] = rng.bounded(g.degree(v));
   }
+  const sim::DelayFn delay = this->delay();
 
-  RotorRouter rr(g, agents, init_ptrs);
+  RotorRouter one(g, agents, init_ptrs);
+  RotorRouter four(g, agents, init_ptrs, 4);
+  ASSERT_EQ(one.pipelined_scan(), out_of_cache());
+  ASSERT_EQ(four.pipelined_scan(), out_of_cache());
 
-  // Naive reference: nested-vector adjacency, straight from Sec. 1.3.
+  // Naive reference: nested-vector adjacency, straight from Sec. 1.3;
+  // held agents stay put and, as in Lemma 1, are not visits.
   std::vector<std::uint32_t> ptr = init_ptrs, cnt(g.num_nodes(), 0);
   std::vector<std::uint64_t> vis(g.num_nodes(), 0);
   for (graph::NodeId a : agents) {
     ++cnt[a];
     ++vis[a];
   }
-  for (int t = 0; t < 200; ++t) {
-    std::vector<std::uint32_t> nxt(g.num_nodes(), 0);
+  const std::uint64_t rounds = out_of_cache() ? 64 : 200;
+  for (std::uint64_t t = 1; t <= rounds; ++t) {
+    std::vector<std::uint32_t> held(g.num_nodes(), 0), arr(g.num_nodes(), 0);
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      for (std::uint32_t i = 0; i < cnt[v]; ++i) {
-        nxt[g.neighbor(v, (ptr[v] + i) % g.degree(v))] += 1;
+      if (cnt[v] == 0) continue;
+      held[v] = std::min(delay(v, t, cnt[v]), cnt[v]);
+      const std::uint32_t moving = cnt[v] - held[v];
+      for (std::uint32_t i = 0; i < moving; ++i) {
+        arr[g.neighbor(v, (ptr[v] + i) % g.degree(v))] += 1;
       }
-      ptr[v] = (ptr[v] + cnt[v]) % g.degree(v);
+      ptr[v] = (ptr[v] + moving) % g.degree(v);
     }
-    cnt = nxt;
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) vis[v] += cnt[v];
-    rr.step();
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(rr.agents_at(v), cnt[v]) << "t " << t << " v " << v;
-      ASSERT_EQ(rr.pointer(v), ptr[v]) << "t " << t << " v " << v;
-      ASSERT_EQ(rr.visits(v), vis[v]) << "t " << t << " v " << v;
+      cnt[v] = held[v] + arr[v];
+      vis[v] += arr[v];
+    }
+    one.step_delayed(delay);
+    four.step_delayed(delay);
+    for (const RotorRouter* rr : {&one, &four}) {
+      for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+        ASSERT_EQ(rr->agents_at(v), cnt[v])
+            << "shards " << rr->num_shards() << " t " << t << " v " << v;
+        ASSERT_EQ(rr->pointer(v), ptr[v])
+            << "shards " << rr->num_shards() << " t " << t << " v " << v;
+        ASSERT_EQ(rr->visits(v), vis[v])
+            << "shards " << rr->num_shards() << " t " << t << " v " << v;
+      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RingTorusRandom, CsrLockstep, ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(RingTorusRandom, CsrLockstep, ::testing::Range(0, 6));
 
 TEST(CsrGraphMultigraph, ParallelEdgesKeepSmallestPort) {
   // port_to must return the *smallest* port among parallel edges, exactly

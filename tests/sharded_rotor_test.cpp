@@ -6,8 +6,11 @@
 // save→load→continue lane (including restarts that change the shard
 // count mid-run: checkpoints do not depend on the shard count).
 //
+// One torus is sized past core::kCacheResidentStateBytes so the
+// staged-gather scan runs too; every other topology stays under it.
+//
 // RR_TEST_POOL_THREADS narrows the thread matrix to one value; the ASan
-// CI job re-runs this suite across the matrix that way.
+// and TSan CI jobs re-run this suite across the matrix that way.
 
 #include <gtest/gtest.h>
 
@@ -98,18 +101,22 @@ TEST(ShardedRotor, BitEqualToSequentialAcrossShardCountsAndTopologies) {
   }
 }
 
-TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
-  // Pool threads are an execution resource, shards a partition choice;
-  // neither may leak into the dynamics. RR_TEST_POOL_THREADS=t narrows
-  // the matrix (the ASan CI job sweeps t = 1, 2, 4).
-  std::vector<unsigned> thread_counts{1, 2, 4};
+// Pool thread counts under test: {1, 2, 4}, or the one value in
+// RR_TEST_POOL_THREADS (the sanitizer CI jobs sweep t = 1, 2, 4 that way).
+std::vector<unsigned> pool_thread_counts() {
   if (const char* env = std::getenv("RR_TEST_POOL_THREADS")) {
     const unsigned t = static_cast<unsigned>(std::atoi(env));
-    if (t > 0) thread_counts.assign(1, t);
+    if (t > 0) return {t};
   }
+  return {1, 2, 4};
+}
+
+TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
+  // Pool threads are an execution resource, shards a partition choice;
+  // neither may leak into the dynamics.
   const graph::Graph g = graph::torus(9, 8);
   Rng rng(0x7EADC07ULL);
-  for (unsigned threads : thread_counts) {
+  for (unsigned threads : pool_thread_counts()) {
     sim::ThreadPool pool(threads);
     for (int config = 0; config < 10; ++config) {
       const GraphScenario sc = GraphScenario::random(g, rng);
@@ -127,6 +134,40 @@ TEST(ShardedRotor, ThreadCountNeverChangesTheTrajectory) {
       const Mismatch m =
           run_lockstep_delayed(engines, sc.rounds, sc.delays.delay());
       ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
+    }
+  }
+}
+
+TEST(ShardedRotor, OutOfCacheTorusBitEqualAcrossShardCountsAndThreads) {
+  // Every topology above keeps its state under
+  // core::kCacheResidentStateBytes; this torus is past it, so both engines
+  // take the staged-gather scan, with thousands of occupied rows per shard.
+  const graph::Graph g = out_of_cache_torus();
+  Rng rng(0x0CAC4EULL);
+  for (unsigned threads : pool_thread_counts()) {
+    sim::ThreadPool pool(threads);
+    for (int kind = 0; kind < 4; ++kind) {
+      RingScenario delays;
+      delays.n = g.num_nodes();
+      delays.delay_kind = kind;
+      delays.delay_seed = rng();
+      const std::vector<graph::NodeId> agents =
+          random_agents(g.num_nodes(), 4096, rng);
+      std::vector<std::uint32_t> pointers(g.num_nodes());
+      for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+        pointers[v] = rng.bounded(g.degree(v));
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " delay_kind=" << kind);
+      core::RotorRouter reference(g, agents, pointers);
+      core::RotorRouter sharded(g, agents, pointers, 4, &pool);
+      ASSERT_TRUE(reference.pipelined_scan());
+      ASSERT_TRUE(sharded.pipelined_scan());
+      const Mismatch m =
+          run_lockstep_delayed(reference, sharded, 48, delays.delay());
+      ASSERT_TRUE(m.ok) << "round " << m.round << ": " << m.detail;
+      EXPECT_EQ(reference.agent_positions(), sharded.agent_positions());
+      EXPECT_EQ(reference.occupied_count(), sharded.occupied_count());
     }
   }
 }
