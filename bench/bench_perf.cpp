@@ -100,7 +100,7 @@ BENCHMARK(BM_CoverTimeWorstCase)->Arg(512)->Arg(1024)->Arg(2048)
 // so only truly polymorphic call sites pay it). The sweep enumerates the
 // EngineRegistry, so a newly registered backend shows up here (and in the
 // CI throughput diff) without touching this file. Every backend runs on a
-// ring substrate — the one graph all seven support. The registry key is
+// ring substrate — the one graph all six support. The registry key is
 // part of the benchmark *name* (not just the label): tools/bench_diff.py
 // matches rows by name, so per-engine identity must survive re-ordering
 // of the registration table.

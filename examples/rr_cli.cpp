@@ -37,8 +37,6 @@
 //
 // Exit code 0 on success, 2 on usage errors (so scripts can distinguish).
 
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +54,6 @@
 #include "core/rotor_router.hpp"
 #include "core/snapshot.hpp"
 #include "core/trace.hpp"
-#include "dist/coordinator.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/generators.hpp"
 #include "graph/mmap_substrate.hpp"
@@ -95,12 +92,6 @@ struct Flags {
   // so resumed leaps stay exact). Off by default to keep checkpoint
   // bytes identical to hint-unaware builds.
   std::string cycle_hint = "off";
-  // Distributed stepping (--engine dist): worker count, spill batch and
-  // how to obtain workers (rr_noded path, "threads", or default sibling
-  // binary).
-  std::uint32_t workers = 2;
-  std::uint64_t spill_batch = 256;
-  std::string noded;
 };
 
 bool parse_ckpt_format(const std::string& s, rr::sim::CkptFormat& format) {
@@ -155,8 +146,6 @@ int usage() {
                " cycles; default auto)\n"
                "       --cycle-hint on|off (persist/adopt confirmed periods"
                " via checkpoint cycle.hint; default off)\n"
-               "       --engine dist: --workers N --spill-batch N"
-               " [--noded PATH|threads]\n"
                "  lockin: --topo ring|grid|torus|clique|hypercube|tree"
                " --size N\n"
                "  engines: list registered backends with substrate"
@@ -258,24 +247,6 @@ bool parse_flags(int argc, char** argv, int start, Flags& f) {
       const char* v = next("--out");
       if (!v) return false;
       f.out = v;
-    } else if (a == "--workers") {
-      std::uint64_t v64 = 0;
-      const char* v = next("--workers");
-      if (!v || !rr::parse_flag_u64_range("rr_cli", "--workers", v, 1,
-                                          ~std::uint32_t{0}, v64)) {
-        return false;
-      }
-      f.workers = static_cast<std::uint32_t>(v64);
-    } else if (a == "--spill-batch") {
-      const char* v = next("--spill-batch");
-      if (!v || !rr::parse_flag_u64_range("rr_cli", "--spill-batch", v, 1,
-                                          1u << 24, f.spill_batch)) {
-        return false;
-      }
-    } else if (a == "--noded") {
-      const char* v = next("--noded");
-      if (!v) return false;
-      f.noded = v;
     } else if (a == "--cycle-jump") {
       const char* v = next("--cycle-jump");
       if (!v) return false;
@@ -364,32 +335,16 @@ std::vector<rr::graph::NodeId> spread_agents(rr::graph::NodeId n,
   return agents;
 }
 
-// Path of an executable rr_noded next to this binary; empty if none.
-std::string sibling_noded() {
-  char buf[4096];
-  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
-  if (len <= 0) return {};
-  buf[len] = '\0';
-  std::string path(buf);
-  const auto slash = path.rfind('/');
-  path.resize(slash == std::string::npos ? 0 : slash + 1);
-  path += "rr_noded";
-  return ::access(path.c_str(), X_OK) == 0 ? path : std::string();
-}
-
 // The registry construction path of `run` and `trace`. Builds the
-// EngineConfig from the flags (spread agents, seed, shards, dist
-// transport), then creates a fresh engine or, given a parsed checkpoint,
-// restores it through the same factory. The checkpoint's engine wins
-// except under --engine dist, which resumes a rotor-router document
-// distributed (the field sets are interchangeable), under any worker
-// count. nullptr after printing the cause.
+// EngineConfig from the flags (spread agents, seed, shards), then
+// creates a fresh engine or, given a parsed checkpoint, restores it
+// through the same factory; the checkpoint's engine wins over --engine.
+// nullptr after printing the cause.
 std::unique_ptr<rr::sim::Engine> registry_engine(
     const Flags& f, const std::string& descriptor,
     const rr::sim::ParsedCheckpoint* resume) {
   const auto& registry = rr::sim::EngineRegistry::instance();
-  const std::string key =
-      !resume || f.engine == "dist" ? f.engine : resume->engine;
+  const std::string key = resume ? resume->engine : f.engine;
   const auto d = rr::graph::GraphDescriptor::parse(descriptor);
   if (!d) {
     std::fprintf(stderr, "rr_cli: malformed graph descriptor '%s'\n",
@@ -407,20 +362,6 @@ std::unique_ptr<rr::sim::Engine> registry_engine(
   if (const auto n = d->num_nodes()) config.agents = spread_agents(*n, f.k);
   config.seed = f.seed;
   config.shards = f.shards;
-  config.dist_workers = f.workers;
-  config.dist_spill_batch = f.spill_batch;
-  // --engine dist without --noded fork/execs the rr_noded sitting next to
-  // this binary; --noded threads forces the in-process transport instead
-  // (same protocol, zero setup).
-  if (key == "dist" && f.noded != "threads") {
-    config.dist_noded = f.noded.empty() ? sibling_noded() : f.noded;
-    if (config.dist_noded.empty()) {
-      std::fprintf(stderr,
-                   "rr_cli: cannot find rr_noded next to rr_cli; use "
-                   "--noded PATH or --noded threads\n");
-      return nullptr;
-    }
-  }
   std::string error;
   auto engine =
       resume ? registry.restore(key, *d, resume->state, config, &error)
@@ -542,10 +483,6 @@ int cmd_run(const Flags& f) {
                 descriptor.c_str(),
                 static_cast<unsigned long long>(engine->time()));
   }
-  // Kept across the cycle-jump wrap so the halt check below still reaches
-  // the coordinator.
-  auto* dist_engine =
-      dynamic_cast<rr::core::DistributedRotorRouter*>(engine.get());
   // Wrap before arming auto-checkpoints: the wrapper schedules leaps and
   // dense chunks against its own checkpoint marks, so marks fire at the
   // exact rounds (and with the exact bytes) a dense run would produce.
@@ -568,14 +505,6 @@ int cmd_run(const Flags& f) {
   }
   const std::uint64_t rounds = f.rounds ? f.rounds : engine->num_nodes();
   engine->run(rounds);
-  if (dist_engine != nullptr && dist_engine->halted()) {
-    std::fprintf(stderr,
-                 "rr_cli: distributed run halted at t=%llu (a worker died); "
-                 "resume from the last periodic checkpoint with "
-                 "`rr_cli run --engine dist --resume FILE`\n",
-                 static_cast<unsigned long long>(dist_engine->time()));
-    return 1;
-  }
   std::printf("engine=%s graph='%s' t=%llu covered=%u/%u hash=%016llx\n",
               engine->engine_name(), descriptor.c_str(),
               static_cast<unsigned long long>(engine->time()),

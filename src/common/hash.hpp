@@ -12,13 +12,6 @@ namespace rr {
 
 class Fnv1a {
  public:
-  constexpr Fnv1a() = default;
-  /// Continues a hash from a previously observed value(): FNV-1a is a
-  /// left fold over its inputs, so chaining seeded instances across
-  /// owners (the distributed engine hashes shard 0..N-1 in turn)
-  /// reproduces the single-instance hash bit for bit.
-  constexpr explicit Fnv1a(std::uint64_t state) : h_(state) {}
-
   constexpr void mix(std::uint64_t x) {
     h_ ^= x;
     h_ *= 1099511628211ULL;

@@ -1,11 +1,11 @@
 #include "core/rotor_router.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "common/hash.hpp"
-#include "core/rotor_state_io.hpp"
 #include "graph/substrate.hpp"
 
 namespace rr::core {
@@ -16,6 +16,81 @@ namespace {
 
 bool state_out_of_cache(NodeId n) {
   return std::size_t{n} * kStateBytesPerNode > kCacheResidentStateBytes;
+}
+
+// The six lockstep per-node checkpoint fields, in serialize_state's
+// order, with each one's construction-time default value (see
+// apply_rotor_fields' allow_skip).
+constexpr std::size_t kRotorFields = 6;
+constexpr const char* kRotorFieldKeys[kRotorFields] = {
+    "pointers", "initial_pointers", "visits",
+    "exits",    "first_visit",      "last_visit"};
+constexpr std::uint64_t kRotorFieldDefaults[kRotorFields] = {
+    0, 0, 0, 0, kNotCovered, 0};
+
+// Applies the six lockstep cursors over every node: validates degrees,
+// writes node/stats/initial_pointers, counts covered nodes. Node v's
+// whole record is validated and written in one touch, so a restore makes
+// a single pass over the state memory instead of six. The cursors must
+// produce exactly one element per node each (checked via finished()).
+// `allow_skip`: the caller guarantees every node holds the
+// construction-time defaults, so spans where all six runs are constant
+// defaults are skipped instead of rewritten; restoring into a freshly
+// opened substrate image then dirties only the pages that differ from
+// it. nullopt on any malformed or inconsistent stream; the state may
+// then be partially written (the StateIO failed-restore contract).
+std::optional<NodeId> apply_rotor_fields(
+    std::optional<sim::U64ListCursor>* cursors, const CsrGraph& csr,
+    graph::MappedArray<NodeState>& node,
+    std::vector<std::uint32_t>& initial_pointers,
+    graph::MappedArray<VisitStats>& stats, bool allow_skip) {
+  const NodeId n = csr.num_nodes();
+  NodeId covered = 0;
+  sim::U64ListCursor::Run run[kRotorFields];
+  for (NodeId v = 0; v < n;) {
+    std::uint64_t span = n - v;
+    for (std::size_t k = 0; k < kRotorFields; ++k) {
+      if (run[k].len == 0) {
+        const auto r = cursors[k]->next_run();
+        if (!r) return std::nullopt;
+        run[k] = *r;
+      }
+      span = std::min(span, run[k].len);
+    }
+    bool skip = allow_skip;
+    for (std::size_t k = 0; skip && k < kRotorFields; ++k) {
+      skip = run[k].delta == 0 && run[k].value == kRotorFieldDefaults[k];
+    }
+    if (!skip) {
+      for (std::uint64_t j = 0; j < span; ++j) {
+        const NodeId u = v + static_cast<NodeId>(j);
+        const std::uint32_t degree = csr.degree_unchecked(u);
+        if (run[0].value >= degree || run[1].value >= degree) {
+          return std::nullopt;
+        }
+        node[u].count = 0;
+        node[u].arrivals = 0;
+        node[u].pointer = static_cast<std::uint32_t>(run[0].value);
+        initial_pointers[u] = static_cast<std::uint32_t>(run[1].value);
+        stats[u].visits = run[2].value;
+        stats[u].exits = run[3].value;
+        stats[u].first_visit = run[4].value;
+        stats[u].last_visit = run[5].value;
+        if (run[4].value != kNotCovered) ++covered;
+        for (std::size_t k = 0; k < kRotorFields; ++k) {
+          run[k].value += run[k].delta;
+        }
+      }
+    }
+    // A skipped span holds constant defaults (delta 0, so its values
+    // stay put) and gains no coverage: first_visit is the sentinel.
+    for (std::size_t k = 0; k < kRotorFields; ++k) run[k].len -= span;
+    v += static_cast<NodeId>(span);
+  }
+  for (std::size_t k = 0; k < kRotorFields; ++k) {
+    if (!cursors[k]->finished()) return std::nullopt;
+  }
+  return covered;
 }
 
 }  // namespace
@@ -190,7 +265,28 @@ std::uint64_t RotorRouter::config_hash() const {
 }
 
 void RotorRouter::serialize_state(sim::StateWriter& out) const {
-  serialize_rotor_state(out, time_, node_, initial_pointers_, stats_);
+  // Time, sparse agent sites (ascending node id), pointer fields, visit
+  // statistics. The per-node fields are lazy views straight over the
+  // engine arrays: nothing O(n) is materialized, so checkpointing an
+  // mmap-backed 1e8-node engine allocates only the sparse site list.
+  const std::size_t n = node_.size();
+  out.field_u64("time", time_);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sites;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (node_[v].count > 0) sites.emplace_back(v, node_[v].count);
+  }
+  out.field_pairs("agents", sites);
+  const std::uint32_t node_stride = sizeof(NodeState);
+  const std::uint32_t stats_stride = sizeof(VisitStats);
+  out.field_list_strided("pointers", n, &node_[0].pointer, node_stride, 4);
+  out.field_list_strided("initial_pointers", n, initial_pointers_.data(),
+                         sizeof(std::uint32_t), 4);
+  out.field_list_strided("visits", n, &stats_[0].visits, stats_stride, 8);
+  out.field_list_strided("exits", n, &stats_[0].exits, stats_stride, 8);
+  out.field_list_strided("first_visit", n, &stats_[0].first_visit,
+                         stats_stride, 8);
+  out.field_list_strided("last_visit", n, &stats_[0].last_visit,
+                         stats_stride, 8);
 }
 
 bool RotorRouter::apply_cycle_leap(
@@ -251,17 +347,36 @@ bool RotorRouter::deserialize_state(const sim::StateReader& in) {
       }
     }
   }
-  const auto restored = deserialize_rotor_state(
-      in, csr_, node_, initial_pointers_, stats_, assume_defaults);
-  if (!restored) return false;
-  time_ = restored->time;
-  num_agents_ = restored->num_agents;
-  covered_ = restored->covered;
+  const NodeId n = csr_.num_nodes();
+  const auto time = in.u64("time");
+  const auto sites = in.pairs("agents");
+  if (!time || !sites || sites->empty()) return false;
+  std::uint64_t total_agents = 0;
+  for (const auto& [v, c] : *sites) {
+    if (v >= n || c == 0 || c > ~std::uint32_t{0}) return false;
+    total_agents += c;
+  }
+  if (total_agents > ~std::uint32_t{0}) return false;
+
+  initial_pointers_.resize(n);
+  std::optional<sim::U64ListCursor> cursors[kRotorFields];
+  for (std::size_t k = 0; k < kRotorFields; ++k) {
+    cursors[k] = in.u64_list_cursor(kRotorFieldKeys[k], n);
+    if (!cursors[k]) return false;
+  }
+  const auto covered =
+      apply_rotor_fields(cursors, csr_, node_, initial_pointers_, stats_,
+                         /*allow_skip=*/assume_defaults && n > 1);
+  if (!covered) return false;
+  time_ = *time;
+  num_agents_ = static_cast<std::uint32_t>(total_agents);
+  covered_ = *covered;
   // Between rounds every spill slot is zero and every touched list
   // empty, so the occupied lists are the only per-shard state to rebuild.
   for (Shard& sh : shards_) sh.occupied.clear();
-  for (const NodeId v : restored->sites) {
-    shards_[part_.owner(v)].occupied.push_back(v);
+  for (const auto& [v, c] : *sites) {
+    node_[v].count = static_cast<std::uint32_t>(c);
+    shards_[part_.owner(v)].occupied.push_back(static_cast<NodeId>(v));
   }
   return true;
 }

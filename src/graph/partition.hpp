@@ -2,8 +2,8 @@
 
 // CSR row-space partitioning + the packed node-state block (graph layer).
 //
-// The rotor-router engine (core::RotorRouter, at every shard count) and
-// the distributed workers share two layout decisions made here:
+// The rotor-router engine (core::RotorRouter, at every shard count)
+// rests on two layout decisions made here:
 //
 //  * NodeState packs the per-node fields every rotor-router round touches
 //    — agent count, rotor pointer, degree, the arrival accumulator and

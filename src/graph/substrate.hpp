@@ -20,7 +20,7 @@
 // freed with the last engine stepping on them and the next request
 // rebuilds: there is no retention policy to tune. Registry-built rotor,
 // eulerian and walks engines (sessions, rehydrations, resumes, the
-// shards of one run) and in-process dist workers all share through here.
+// shards of one run) all share through here.
 // Thread-safe.
 
 #include <optional>

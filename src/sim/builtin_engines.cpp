@@ -16,7 +16,6 @@
 #include "core/lazy_ring_rotor_router.hpp"
 #include "core/ring_rotor_router.hpp"
 #include "core/rotor_router.hpp"
-#include "dist/coordinator.hpp"
 #include "graph/descriptor.hpp"
 #include "graph/substrate.hpp"
 #include "sim/registry.hpp"
@@ -190,41 +189,6 @@ void register_ode(EngineRegistry& r) {
   });
 }
 
-core::DistOptions dist_options(const EngineConfig& c) {
-  core::DistOptions o;
-  o.workers = c.dist_workers;
-  o.spill_batch = c.dist_spill_batch;
-  o.noded_path = c.dist_noded;
-  return o;
-}
-
-void register_dist(EngineRegistry& r) {
-  r.add(EngineSpec{
-      .name = "dist",
-      // Same engine identity as "rotor": the distributed stepper is the
-      // same dynamical system writing the same checkpoint field set
-      // (bit-identical documents), so its snapshots restore under any
-      // rotor-router backend and vice versa. find() resolves
-      // "rotor-router" to the earlier "rotor" spec, so plain restores
-      // stay sequential; `--engine dist` reaches this one by CLI key.
-      .engine_name = "rotor-router",
-      .substrate = "any connected graph",
-      .summary = "distributed rotor-router: N worker processes over "
-                 "AF_UNIX sockets, batched spill comms, bit-equal to "
-                 "sequential (--workers N, --noded PATH|threads)",
-      .substrate_kinds = {},
-      .supports_shards = false,
-      .deterministic = true,
-      .shares_engine_name = true,
-      .cycle_accumulators = {"time", "visits", "exits", "last_visit"},
-      .factory = [](const graph::GraphDescriptor& d, const EngineConfig& c,
-                    std::string* error) -> std::unique_ptr<Engine> {
-        return core::DistributedRotorRouter::create(
-            d, agents_of(c), c.pointers, dist_options(c), error);
-      },
-  });
-}
-
 }  // namespace
 
 void register_builtin_engines(EngineRegistry& registry) {
@@ -234,7 +198,6 @@ void register_builtin_engines(EngineRegistry& registry) {
   register_walks(registry);
   register_eulerian(registry);
   register_ode(registry);
-  register_dist(registry);
 }
 
 }  // namespace detail

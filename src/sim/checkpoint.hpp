@@ -99,7 +99,7 @@ std::optional<ParsedCheckpoint> parse_checkpoint_file(
 /// `config` carries execution choices that are not checkpoint state: a
 /// shard count (> 1 restores "rotor-router" documents into a
 /// shard-parallel core::RotorRouter; engines without shard support
-/// ignore it), the pool, dist worker options. nullptr on unknown engine,
+/// ignore it) and the pool. nullptr on unknown engine,
 /// substrate mismatch, or a state body inconsistent with the substrate,
 /// with the cause in `*error` when provided.
 std::unique_ptr<Engine> restore_checkpoint(const ParsedCheckpoint& parsed,

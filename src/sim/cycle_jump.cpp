@@ -303,16 +303,8 @@ bool generic_leap(StateIO& io, const std::vector<AccumulatorDelta>& deltas,
   auto pristine_reader = StateReader::from_fields(std::move(pristine));
   RR_REQUIRE(pristine_reader != std::nullopt,
              "cycle-jump: pristine state failed to re-parse");
-  if (!io.deserialize_state(*pristine_reader)) {
-    // Both restores rejected. A healthy engine round-trips its own
-    // serialize output, so this is an engine refusing *all* state — a
-    // distributed backend whose workers died mid-run rejects every
-    // scatter. Failed deserializes leave engine state untouched, so the
-    // pre-leap configuration is still in place; report failure and let
-    // the wrapper abandon leaping (dense stepping, or the backend's own
-    // halt handling, takes over).
-    return false;
-  }
+  RR_REQUIRE(io.deserialize_state(*pristine_reader),
+             "cycle-jump: engine rejected its own serialized state");
   return false;
 }
 
@@ -645,14 +637,7 @@ std::uint64_t CycleJumpEngine::dense_chunk(std::uint64_t rounds) {
       continue;
     }
     const std::uint64_t sub = std::min(rounds - consumed, to_event);
-    const std::uint64_t before = inner_->time();
     inner_->run(sub);  // inner never has auto-checkpoints armed
-    if (inner_->time() == before) {
-      // The inner engine refused to advance (a halted distributed
-      // backend no-ops its run). Claim the whole request so every
-      // caller terminates instead of spinning on a frozen clock.
-      return rounds;
-    }
     consumed += sub;
   }
   if (rounds_to_next_event() == 0) on_event();
@@ -738,10 +723,8 @@ std::uint64_t CycleJumpEngine::run_until_covered(std::uint64_t max_rounds) {
         if (phase_ == Phase::kConfirmed) fire_auto_checkpoint_if_due();
         continue;
       }
-      const std::uint64_t before = inner_->time();
       inner_->run(chunk);
       fire_auto_checkpoint_if_due();
-      if (inner_->time() == before) return kNotCovered;  // inner stalled
       continue;
     }
     // Pre-confirmation: chunk through the inner engine's own cover-aware
@@ -753,16 +736,10 @@ std::uint64_t CycleJumpEngine::run_until_covered(std::uint64_t max_rounds) {
       continue;
     }
     const std::uint64_t sub = std::min(chunk, to_event);
-    const std::uint64_t before = inner_->time();
     const std::uint64_t covered_at =
         inner_->run_until_covered(inner_->time() + sub);
     fire_auto_checkpoint_if_due();
     if (covered_at != kNotCovered) return covered_at;
-    if (inner_->time() == before) {
-      // A halted backend freezes its clock; give up rather than loop
-      // forever on a trajectory that can no longer move.
-      return kNotCovered;
-    }
   }
   return kNotCovered;
 }

@@ -24,14 +24,8 @@ bool EngineRegistry::add(EngineSpec spec) {
   }
   for (const EngineSpec& existing : specs_) {
     if (existing.name == spec.name || existing.name == spec.engine_name ||
-        existing.engine_name == spec.name) {
-      return false;
-    }
-    // A shared engine_name is legal only as the declared opt-in for
-    // checkpoint-interchangeable backends (EngineSpec::shares_engine_name);
-    // find() stays first-match, so the original spec keeps owning
-    // restores resolved by engine_name.
-    if (existing.engine_name == spec.engine_name && !spec.shares_engine_name) {
+        existing.engine_name == spec.name ||
+        existing.engine_name == spec.engine_name) {
       return false;
     }
   }

@@ -71,15 +71,6 @@ struct EngineConfig {
   std::uint32_t shards = 1;
   /// Shared fork-join pool for sharded stepping (nullptr = engine-owned).
   ThreadPool* pool = nullptr;
-  /// Worker count for the distributed backend ("dist"); clamped to
-  /// [1, num_nodes] like shard counts.
-  std::uint32_t dist_workers = 2;
-  /// "dist" spill batch size: cross-shard arrivals flush mid-scan once
-  /// this many distinct frontier slots accumulate for one destination.
-  std::uint64_t dist_spill_batch = 256;
-  /// rr_noded binary to fork/exec per "dist" worker; empty = in-process
-  /// worker threads over socketpairs (same loop, same protocol).
-  std::string dist_noded;
 };
 
 struct EngineSpec {
@@ -95,12 +86,6 @@ struct EngineSpec {
   /// RNG, no floating point): eligible for steady-state cycle leaping
   /// (sim/cycle_jump.hpp). Stochastic and continuous backends stay false.
   bool deterministic = false;
-  /// Opt-in: this spec deliberately reports the same engine_name as an
-  /// earlier registration because its checkpoints are interchangeable
-  /// with that backend's (the distributed stepper writes "rotor-router"
-  /// documents). find() is first-match, so the earlier spec keeps owning
-  /// restores by engine_name; this spec is reached via its CLI key.
-  bool shares_engine_name = false;
   /// serialize_state keys of monotone accumulator fields (u64 scalar or
   /// u64 list) whose per-period increment is constant from any settled
   /// in-cycle round — time, visit/exit counters, last-visit rounds.
@@ -165,8 +150,8 @@ class EngineRegistry {
   /// The restore path (sim/checkpoint.hpp): create() with `config` on a
   /// placeholder agent {0} and no pointer field, then
   /// StateIO::deserialize_state(state). `config` carries execution
-  /// choices that are not checkpoint state (shard count, pool, dist
-  /// workers). nullptr on unknown engine, substrate mismatch, a factory
+  /// choices that are not checkpoint state (shard count, pool).
+  /// nullptr on unknown engine, substrate mismatch, a factory
   /// rejection, or a state body the engine rejects, with the cause in
   /// `*error`.
   std::unique_ptr<Engine> restore(std::string_view engine_name,

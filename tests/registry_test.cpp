@@ -17,9 +17,9 @@
 namespace rr::sim {
 namespace {
 
-TEST(EngineRegistry, ListsAllSevenBackendSpecs) {
+TEST(EngineRegistry, ListsAllSixBackendSpecs) {
   const auto specs = EngineRegistry::instance().list();
-  ASSERT_EQ(specs.size(), 7u);  // sharded rides on "rotor" via --shards
+  ASSERT_EQ(specs.size(), 6u);  // sharded rides on "rotor" via --shards
   std::set<std::string> names, engine_names;
   bool any_shards = false;
   for (const auto* spec : specs) {
@@ -29,28 +29,13 @@ TEST(EngineRegistry, ListsAllSevenBackendSpecs) {
     engine_names.insert(spec->engine_name);
     any_shards = any_shards || spec->supports_shards;
   }
-  EXPECT_EQ(names.size(), 7u);
-  // "dist" deliberately shares "rotor-router" (interchangeable
-  // checkpoints), so unique engine_names stay one behind the spec count.
+  EXPECT_EQ(names.size(), 6u);
   EXPECT_EQ(engine_names.size(), 6u);
   EXPECT_TRUE(any_shards);
-  for (const char* name : {"rotor", "ring", "lazy", "walks", "eulerian",
-                           "ode", "dist"}) {
+  for (const char* name :
+       {"rotor", "ring", "lazy", "walks", "eulerian", "ode"}) {
     EXPECT_TRUE(names.count(name)) << name;
   }
-}
-
-TEST(EngineRegistry, SharedEngineNameResolvesToTheFirstRegistration) {
-  // find() is first-match over both key spaces: "rotor-router" must keep
-  // resolving to the sequential "rotor" spec (which owns checkpoint
-  // restores), while the distributed spec stays reachable by CLI key.
-  const auto& r = EngineRegistry::instance();
-  ASSERT_NE(r.find("dist"), nullptr);
-  EXPECT_EQ(r.find("dist")->engine_name, "rotor-router");
-  EXPECT_TRUE(r.find("dist")->shares_engine_name);
-  EXPECT_TRUE(r.find("dist")->deterministic);
-  EXPECT_EQ(r.find("rotor-router"), r.find("rotor"));
-  EXPECT_NE(r.find("rotor-router"), r.find("dist"));
 }
 
 TEST(EngineRegistry, FindMatchesCliKeyAndEngineName) {
@@ -88,6 +73,9 @@ TEST(EngineRegistry, DuplicateRegistrationIsRejected) {
   cross.name = "toy-engine";  // collides with the other key space
   cross.engine_name = "toy2";
   EXPECT_FALSE(r.add(cross));
+  EngineSpec same_engine = spec;
+  same_engine.name = "toy3";  // new key, engine_name already registered
+  EXPECT_FALSE(r.add(same_engine));
   EXPECT_EQ(r.list().size(), 1u);
 
   // The global instance rejects re-registration of a built-in the same way.
@@ -273,7 +261,6 @@ TEST_P(BuiltinRestore, V2RoundTripIsByteIdentical) {
   EngineConfig config;
   config.agents = {0, 3, 3, 17};
   config.seed = 11;
-  config.dist_workers = 2;  // "dist": in-process worker threads
   std::string error;
   auto engine = r.create(spec->name, *d, config, &error);
   ASSERT_NE(engine, nullptr) << error;

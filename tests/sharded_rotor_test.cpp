@@ -211,6 +211,14 @@ TEST(ShardedRotor, CheckpointRestartAcrossShardCounts) {
       const sim::DelayFn delay = sc.delays.delay();
       for (std::uint64_t t = 0; t < sc.rounds; ++t) {
         if (t == restart) {
+          // The documents do not depend on the shard count, in either
+          // wire format.
+          for (const auto format : {sim::CkptFormat::kV1,
+                                    sim::CkptFormat::kV2}) {
+            ASSERT_EQ(
+                sim::write_checkpoint(reference, descriptor.text(), format),
+                sim::write_checkpoint(*candidate, descriptor.text(), format));
+          }
           const std::string text =
               sim::write_checkpoint(*candidate, descriptor.text());
           const auto parsed = sim::parse_checkpoint(text);
@@ -312,6 +320,12 @@ TEST(ShardedRotor, PileUpDeploymentsMatchAcrossShards) {
           engines, 3 * static_cast<std::uint64_t>(n),
           [](graph::NodeId, std::uint64_t, std::uint32_t) { return 0u; });
       ASSERT_TRUE(all.ok) << "round " << all.round << ": " << all.detail;
+      // The stop-at-cover loop lands on the sequential cover round.
+      core::RotorRouter seq_cover(topo.graph, agents);
+      core::RotorRouter sharded_cover(topo.graph, agents, {}, /*shards=*/4);
+      const std::uint64_t cover = seq_cover.run_until_covered(1u << 20);
+      ASSERT_NE(cover, sim::kNotCovered);
+      EXPECT_EQ(sharded_cover.run_until_covered(1u << 20), cover);
     }
   }
 }

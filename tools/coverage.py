@@ -29,7 +29,6 @@ FLOORS = {
     "analysis": 97,
     "common": 93,
     "core": 97,
-    "dist": 87,
     "graph": 94,
     "serve": 91,
     "sim": 93,
